@@ -50,6 +50,25 @@ BM_ThermalNetworkStep(benchmark::State& state)
 BENCHMARK(BM_ThermalNetworkStep);
 
 void
+BM_DriveControlTick(benchmark::State& state)
+{
+    // One DTM control tick as dtm::CoSimEngine drives the model: a new
+    // measured VCM duty, then the transient advanced to the next 0.1 s
+    // tick on the accumulated clock.
+    thermal::DriveThermalModel model(thermalConfig());
+    double t = 0.0;
+    bool busy = false;
+    for (auto _ : state) {
+        busy = !busy;
+        model.setVcmDuty(busy ? 0.8 : 0.2);
+        t += 0.1;
+        model.advanceTo(t);
+        benchmark::DoNotOptimize(model.airTempC());
+    }
+}
+BENCHMARK(BM_DriveControlTick);
+
+void
 BM_ThermalSteadyState(benchmark::State& state)
 {
     thermal::DriveThermalModel model(thermalConfig());

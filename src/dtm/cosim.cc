@@ -455,6 +455,10 @@ CoSimEngine::saveSections(snap::CheckpointWriter& out,
     HDDTHERM_REQUIRE(started_,
                      "CoSimEngine::saveSections before start: nothing "
                      "is in flight yet");
+    HDDTHERM_REQUIRE(system_.events().snapshotsEnabled(),
+                     "CoSimEngine::saveSections needs enableSnapshots() "
+                     "or enableCheckpoints() before start: this engine "
+                     "kept no snapshot state");
     {
         snap::StateWriter w(prefix + "dtm.cosim");
         w.u64("workload_size", workload_size_);

@@ -233,7 +233,9 @@ class CoSimEngine
      * "<prefix>dtm.cosim", "<prefix>sim.system", "<prefix>thermal.model",
      * "<prefix>fault.player" (faulted runs only) and — last —
      * "<prefix>engine.kernel".  The fleet passes "bay.<i>/" prefixes;
-     * standalone checkpoints use the empty prefix.  Requires start().
+     * standalone checkpoints use the empty prefix.  Requires start() on
+     * an engine with snapshots enabled (enableSnapshots() or
+     * enableCheckpoints()); throws util::ModelError otherwise.
      */
     void saveSections(snap::CheckpointWriter& out,
                       const std::string& prefix = {}) const;

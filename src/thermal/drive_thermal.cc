@@ -212,10 +212,15 @@ double
 spmMotorLossW(double diameter_inches)
 {
     HDDTHERM_REQUIRE(diameter_inches > 0.0, "diameter must be positive");
-    const Calibration& c = calibration();
-    const util::PiecewiseLinear anchors(
-        {{1.6, c.spmLoss16}, {2.1, c.spmLoss21}, {2.6, kSpmLossAnchor26}},
-        util::PiecewiseLinear::Extrapolate::Linear);
+    // Built once: every operating-point rebuild (each faulted control
+    // tick re-applies the fault overrides) asks for this.
+    static const util::PiecewiseLinear anchors = [] {
+        const Calibration& c = calibration();
+        return util::PiecewiseLinear(
+            {{1.6, c.spmLoss16}, {2.1, c.spmLoss21},
+             {2.6, kSpmLossAnchor26}},
+            util::PiecewiseLinear::Extrapolate::Linear);
+    }();
     return std::max(3.0, anchors(diameter_inches));
 }
 
@@ -302,14 +307,16 @@ DriveThermalModel::setVcmDuty(double duty)
     HDDTHERM_REQUIRE(duty >= 0.0 && duty <= 1.0,
                      "VCM duty must be within [0, 1]");
     config_.vcmDuty = duty;
-    rebuildOperatingPoint();
+    // Duty moves only the VCM heat input: a right-hand-side change that
+    // keeps the network's cached step factorization.
+    net_.setHeatInput(vcm_, vcmPowerW());
 }
 
 void
 DriveThermalModel::setAmbient(double ambient_c)
 {
     config_.ambientC = ambient_c;
-    rebuildOperatingPoint();
+    net_.setTemperature(ambient_, effectiveAmbientC());
 }
 
 void
@@ -324,7 +331,7 @@ void
 DriveThermalModel::setAmbientOffsetC(double delta_c)
 {
     ambient_offset_c_ = delta_c;
-    rebuildOperatingPoint();
+    net_.setTemperature(ambient_, effectiveAmbientC());
 }
 
 void

@@ -63,7 +63,11 @@ class DriveThermalModel
     /// Build the network; all free nodes start at the ambient temperature.
     explicit DriveThermalModel(const DriveThermalConfig& config);
 
-    /// @name Operating-state mutators (rebuild RPM/duty-dependent terms).
+    /// @name Operating-state mutators.
+    /// setRpm rebuilds every RPM-dependent conductance and heat input;
+    /// setVcmDuty touches only the VCM heat input and setAmbient only the
+    /// ambient boundary temperature, so the per-tick control updates keep
+    /// the network's cached step factorization.
     /// @{
     void setRpm(double rpm);
     void setVcmDuty(double duty);

@@ -1,6 +1,7 @@
 #include "thermal/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "snap/state.h"
@@ -16,6 +17,7 @@ ThermalNetwork::addNode(std::string name, double capacitance_j_per_k,
                      "free nodes need positive heat capacity");
     nodes_.push_back(
         {std::move(name), capacitance_j_per_k, initial_temp_c, 0.0, false});
+    ++generation_;
     return int(nodes_.size()) - 1;
 }
 
@@ -23,6 +25,7 @@ ThermalNetwork::NodeId
 ThermalNetwork::addBoundaryNode(std::string name, double temp_c)
 {
     nodes_.push_back({std::move(name), 0.0, temp_c, 0.0, true});
+    ++generation_;
     return int(nodes_.size()) - 1;
 }
 
@@ -35,11 +38,15 @@ ThermalNetwork::setConductance(NodeId a, NodeId b, double conductance_w_per_k)
                      "conductance must be non-negative");
     for (auto& e : edges_) {
         if ((e.a == a && e.b == b) || (e.a == b && e.b == a)) {
-            e.g = conductance_w_per_k;
+            if (e.g != conductance_w_per_k) {
+                e.g = conductance_w_per_k;
+                ++generation_;
+            }
             return;
         }
     }
     edges_.push_back({a, b, conductance_w_per_k});
+    ++generation_;
 }
 
 double
@@ -107,99 +114,150 @@ ThermalNetwork::node(NodeId id) const
     return nodes_[std::size_t(id)];
 }
 
-std::vector<double>
-ThermalNetwork::solveLinear(std::vector<std::vector<double>> a,
-                            std::vector<double> b) const
+void
+ThermalNetwork::Elimination::resize(std::size_t size)
+{
+    n = size;
+    u.resize(n * n);
+    mult.resize(n * n);
+    pivot.resize(n);
+}
+
+void
+ThermalNetwork::Elimination::factor()
 {
     // Dense Gaussian elimination with partial pivoting; the networks here
     // have a handful of nodes, so this is both simple and fast.
-    const auto n = b.size();
     for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
+        std::size_t p = col;
         for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::fabs(a[r][col]) > std::fabs(a[pivot][col]))
-                pivot = r;
+            if (std::fabs(u[r * n + col]) > std::fabs(u[p * n + col]))
+                p = r;
         }
-        HDDTHERM_REQUIRE(std::fabs(a[pivot][col]) > 1e-14,
+        HDDTHERM_REQUIRE(std::fabs(u[p * n + col]) > 1e-14,
                          "thermal network is singular (isolated node?)");
-        std::swap(a[col], a[pivot]);
-        std::swap(b[col], b[pivot]);
+        pivot[col] = p;
+        if (p != col) {
+            std::swap_ranges(u.begin() + std::ptrdiff_t(col * n),
+                             u.begin() + std::ptrdiff_t((col + 1) * n),
+                             u.begin() + std::ptrdiff_t(p * n));
+        }
         for (std::size_t r = col + 1; r < n; ++r) {
-            const double f = a[r][col] / a[col][col];
+            const double f = u[r * n + col] / u[col * n + col];
+            mult[r * n + col] = f;
             if (f == 0.0)
                 continue;
             for (std::size_t c = col; c < n; ++c)
-                a[r][c] -= f * a[col][c];
+                u[r * n + c] -= f * u[col * n + c];
+        }
+    }
+}
+
+void
+ThermalNetwork::Elimination::solve(std::vector<double>& b,
+                                   std::vector<double>& x) const
+{
+    for (std::size_t col = 0; col < n; ++col) {
+        std::swap(b[col], b[pivot[col]]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double f = mult[r * n + col];
+            if (f == 0.0)
+                continue;
             b[r] -= f * b[col];
         }
     }
-    std::vector<double> x(n, 0.0);
     for (std::size_t i = n; i-- > 0;) {
         double s = b[i];
         for (std::size_t c = i + 1; c < n; ++c)
-            s -= a[i][c] * x[c];
-        x[i] = s / a[i][i];
+            s -= u[i * n + c] * x[c];
+        x[i] = s / u[i * n + i];
     }
-    return x;
+}
+
+void
+ThermalNetwork::index(FreeSystem& sys) const
+{
+    sys.freeIndex.assign(nodes_.size(), -1);
+    sys.rows.clear();
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (!nodes_[i].boundary) {
+            sys.freeIndex[i] = int(sys.rows.size());
+            sys.rows.push_back(NodeId(i));
+        }
+    }
+    sys.terms.clear();
+    for (std::size_t k = 0; k < edges_.size(); ++k) {
+        const Edge& e = edges_[k];
+        const int fa = sys.freeIndex[std::size_t(e.a)];
+        const int fb = sys.freeIndex[std::size_t(e.b)];
+        if (fa >= 0 && fb < 0)
+            sys.terms.push_back({std::size_t(fa), k, e.b});
+        if (fb >= 0 && fa < 0)
+            sys.terms.push_back({std::size_t(fb), k, e.a});
+    }
+    sys.b.assign(sys.rows.size(), 0.0);
+    sys.x.assign(sys.rows.size(), 0.0);
+}
+
+void
+ThermalNetwork::factor(const FreeSystem& sys, const std::vector<double>& cdt,
+                       Elimination& lu) const
+{
+    // Energy balance per free node i:
+    //   steady:  sum_j G_ij (T_j - T_i) + Q_i = 0;
+    //   backward Euler:  (C/dt) (T' - T) = Q + sum_j G_ij (T'_j - T'_i)
+    //     => (C/dt + sum G) T'_i - sum_j G_ij T'_j = (C/dt) T_i + Q_i + G*Tb.
+    // The right-hand side is the caller's (see solve()).
+    const std::size_t n = sys.rows.size();
+    lu.resize(n);
+    auto& a = lu.u;
+    std::fill(a.begin(), a.end(), 0.0);
+    for (std::size_t r = 0; r < cdt.size(); ++r)
+        a[r * n + r] += cdt[r];
+    for (const Edge& e : edges_) {
+        const int fa = sys.freeIndex[std::size_t(e.a)];
+        const int fb = sys.freeIndex[std::size_t(e.b)];
+        if (fa >= 0) {
+            a[std::size_t(fa) * n + std::size_t(fa)] += e.g;
+            if (fb >= 0)
+                a[std::size_t(fa) * n + std::size_t(fb)] -= e.g;
+        }
+        if (fb >= 0) {
+            a[std::size_t(fb) * n + std::size_t(fb)] += e.g;
+            if (fa >= 0)
+                a[std::size_t(fb) * n + std::size_t(fa)] -= e.g;
+        }
+    }
+    lu.factor();
+}
+
+void
+ThermalNetwork::solve(FreeSystem& sys, const Elimination& lu) const
+{
+    for (const auto& t : sys.terms) {
+        sys.b[t.row] += edges_[t.edge].g *
+                        nodes_[std::size_t(t.boundary)].temperatureC;
+    }
+    lu.solve(sys.b, sys.x);
 }
 
 std::vector<double>
 ThermalNetwork::steadyState() const
 {
-    // Index the free nodes.
-    std::vector<int> free_index(nodes_.size(), -1);
-    int nf = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (!nodes_[i].boundary)
-            free_index[i] = nf++;
-    }
-    if (nf == 0) {
-        std::vector<double> out;
-        out.reserve(nodes_.size());
-        for (const auto& n : nodes_)
-            out.push_back(n.temperatureC);
-        return out;
-    }
+    FreeSystem sys;
+    index(sys);
+    Elimination lu;
+    factor(sys, {}, lu);
+    for (std::size_t r = 0; r < sys.rows.size(); ++r)
+        sys.b[r] = nodes_[std::size_t(sys.rows[r])].heatInputW;
+    solve(sys, lu);
 
-    // Energy balance per free node i: sum_j G_ij (T_j - T_i) + Q_i = 0.
-    std::vector<std::vector<double>> a(std::size_t(nf),
-                                       std::vector<double>(std::size_t(nf),
-                                                           0.0));
-    std::vector<double> b(std::size_t(nf), 0.0);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (free_index[i] >= 0)
-            b[std::size_t(free_index[i])] = nodes_[i].heatInputW;
-    }
-    for (const auto& e : edges_) {
-        const int fa = free_index[std::size_t(e.a)];
-        const int fb = free_index[std::size_t(e.b)];
-        if (fa >= 0) {
-            a[std::size_t(fa)][std::size_t(fa)] += e.g;
-            if (fb >= 0) {
-                a[std::size_t(fa)][std::size_t(fb)] -= e.g;
-            } else {
-                b[std::size_t(fa)] +=
-                    e.g * nodes_[std::size_t(e.b)].temperatureC;
-            }
-        }
-        if (fb >= 0) {
-            a[std::size_t(fb)][std::size_t(fb)] += e.g;
-            if (fa >= 0) {
-                a[std::size_t(fb)][std::size_t(fa)] -= e.g;
-            } else {
-                b[std::size_t(fb)] +=
-                    e.g * nodes_[std::size_t(e.a)].temperatureC;
-            }
-        }
-    }
-
-    const auto x = solveLinear(std::move(a), std::move(b));
     std::vector<double> out;
     out.reserve(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        out.push_back(free_index[i] >= 0 ? x[std::size_t(free_index[i])]
-                                         : nodes_[i].temperatureC);
-    }
+    for (const auto& n : nodes_)
+        out.push_back(n.temperatureC);
+    for (std::size_t r = 0; r < sys.rows.size(); ++r)
+        out[std::size_t(sys.rows[r])] = sys.x[r];
     return out;
 }
 
@@ -218,58 +276,48 @@ ThermalNetwork::step(double dt)
 {
     HDDTHERM_REQUIRE(dt > 0.0, "step size must be positive");
 
-    std::vector<int> free_index(nodes_.size(), -1);
-    int nf = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (!nodes_[i].boundary)
-            free_index[i] = nf++;
-    }
-    if (nf == 0)
-        return;
-
-    // Backward Euler: (C/dt) (T' - T) = Q + sum_j G_ij (T'_j - T'_i)
-    //  => (C/dt + sum G) T'_i - sum_j G_ij T'_j = (C/dt) T_i + Q_i + G*Tb.
-    std::vector<std::vector<double>> a(std::size_t(nf),
-                                       std::vector<double>(std::size_t(nf),
-                                                           0.0));
-    std::vector<double> b(std::size_t(nf), 0.0);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const int fi = free_index[i];
-        if (fi < 0)
-            continue;
-        const double cdt = nodes_[i].capacitance / dt;
-        a[std::size_t(fi)][std::size_t(fi)] += cdt;
-        b[std::size_t(fi)] += cdt * nodes_[i].temperatureC +
-                              nodes_[i].heatInputW;
-    }
-    for (const auto& e : edges_) {
-        const int fa = free_index[std::size_t(e.a)];
-        const int fb = free_index[std::size_t(e.b)];
-        if (fa >= 0) {
-            a[std::size_t(fa)][std::size_t(fa)] += e.g;
-            if (fb >= 0) {
-                a[std::size_t(fa)][std::size_t(fb)] -= e.g;
-            } else {
-                b[std::size_t(fa)] +=
-                    e.g * nodes_[std::size_t(e.b)].temperatureC;
-            }
+    StepCache& cache = step_;
+    FreeSystem& sys = cache.sys;
+    if (cache.generation != generation_) {
+        index(sys);
+        // Size both slots up front: the first step at a second dt (a
+        // tick's remainder step) then re-factors without allocating.
+        for (auto& slot : cache.slots) {
+            slot.dtBits = 0;
+            slot.cdt.resize(sys.rows.size());
+            slot.lu.resize(sys.rows.size());
         }
-        if (fb >= 0) {
-            a[std::size_t(fb)][std::size_t(fb)] += e.g;
-            if (fa >= 0) {
-                a[std::size_t(fb)][std::size_t(fa)] -= e.g;
-            } else {
-                b[std::size_t(fb)] +=
-                    e.g * nodes_[std::size_t(e.a)].temperatureC;
-            }
-        }
+        cache.generation = generation_;
     }
 
-    const auto x = solveLinear(std::move(a), std::move(b));
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (free_index[i] >= 0)
-            nodes_[i].temperatureC = x[std::size_t(free_index[i])];
+    const auto dt_bits = std::bit_cast<std::uint64_t>(dt);
+    if (cache.slots[cache.mru].dtBits != dt_bits) {
+        cache.mru ^= 1;
+        auto& slot = cache.slots[cache.mru];
+        if (slot.dtBits != dt_bits) {
+            // A singular matrix throws out of factor() and leaves the slot
+            // empty, so the next step re-factors (and throws) again.
+            slot.dtBits = 0;
+            for (std::size_t r = 0; r < sys.rows.size(); ++r) {
+                slot.cdt[r] =
+                    nodes_[std::size_t(sys.rows[r])].capacitance / dt;
+            }
+            factor(sys, slot.cdt, slot.lu);
+            slot.dtBits = dt_bits;
+        }
     }
+    const auto& slot = cache.slots[cache.mru];
+
+    // Right-hand side, accumulated into a zeroed vector in the order the
+    // elimination always used: (C/dt) T_i + Q_i, then G*Tb in edge order.
+    std::fill(sys.b.begin(), sys.b.end(), 0.0);
+    for (std::size_t r = 0; r < sys.rows.size(); ++r) {
+        const ThermalNode& node = nodes_[std::size_t(sys.rows[r])];
+        sys.b[r] += slot.cdt[r] * node.temperatureC + node.heatInputW;
+    }
+    solve(sys, slot.lu);
+    for (std::size_t r = 0; r < sys.rows.size(); ++r)
+        nodes_[std::size_t(sys.rows[r])].temperatureC = sys.x[r];
 }
 
 void

@@ -2,13 +2,17 @@
  * @file
  * Tests of the thermal/performance co-simulation with DTM control.
  */
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "dtm/cosim.h"
+#include "snap/format.h"
 #include "util/error.h"
 
 namespace hd = hddtherm::dtm;
 namespace hs = hddtherm::sim;
+namespace hsnap = hddtherm::snap;
 namespace ht = hddtherm::thermal;
 namespace hu = hddtherm::util;
 
@@ -222,6 +226,41 @@ TEST(CoSim, SetAmbientReportsProfilePrecedence)
     free.advanceTo(1.0);
     EXPECT_TRUE(free.setAmbient(20.0)); // no profile: re-point applies
     free.advanceToCompletion();
+}
+
+TEST(CoSim, SaveSectionsWithoutSnapshotsFailsUpFront)
+{
+    // An engine started without snapshots keeps no restorable event
+    // state, so saving it must fail before any section is written.
+    const auto workload =
+        randomWorkload(100, diskSpace(smallSystem(15020.0)), 50.0);
+    hd::CoSimConfig cfg;
+    cfg.system = smallSystem(15020.0);
+
+    hd::CoSimEngine bare(cfg);
+    bare.start(workload);
+    bare.advanceTo(0.5);
+    hsnap::CheckpointWriter out(0);
+    try {
+        bare.saveSections(out);
+        ADD_FAILURE() << "saveSections succeeded without snapshots";
+    } catch (const hu::ModelError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("CoSimEngine::saveSections needs "
+                            "enableSnapshots()"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("kept no snapshot state"), std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(out.sectionCount(), 0u);
+
+    hd::CoSimEngine snapshotted(cfg);
+    snapshotted.enableSnapshots();
+    snapshotted.start(workload);
+    snapshotted.advanceTo(0.5);
+    EXPECT_NO_THROW(snapshotted.saveSections(out));
+    EXPECT_TRUE(out.has("dtm.cosim"));
 }
 
 TEST(CoSim, PolicyNames)

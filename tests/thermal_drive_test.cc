@@ -4,9 +4,12 @@
  * anchors (Figure 1, Table 3, §5.2/5.3) plus property tests.
  */
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "snap/state.h"
 #include "thermal/calibration.h"
 #include "thermal/correlations.h"
 #include "thermal/drive_thermal.h"
@@ -15,6 +18,7 @@
 
 namespace ht = hddtherm::thermal;
 namespace hu = hddtherm::util;
+namespace hsnap = hddtherm::snap;
 
 namespace {
 
@@ -26,6 +30,26 @@ config(double diameter, int platters, double rpm)
     c.geometry.platters = platters;
     c.rpm = rpm;
     return c;
+}
+
+/// Bitwise comparison of every node's temperature and heat input;
+/// returns a description of the first difference, or an empty string.
+std::string
+networkMismatch(const ht::DriveThermalModel& a, const ht::DriveThermalModel& b)
+{
+    const auto& na = a.network();
+    const auto& nb = b.network();
+    for (int i = 0; i < na.size(); ++i) {
+        const double ta = na.temperature(i), tb = nb.temperature(i);
+        const double qa = na.node(i).heatInputW, qb = nb.node(i).heatInputW;
+        if (std::memcmp(&ta, &tb, sizeof ta) != 0 ||
+            std::memcmp(&qa, &qb, sizeof qa) != 0) {
+            return na.node(i).name + ": T " + std::to_string(ta) + " vs " +
+                   std::to_string(tb) + ", Q " + std::to_string(qa) +
+                   " vs " + std::to_string(qb);
+        }
+    }
+    return {};
 }
 
 } // namespace
@@ -300,5 +324,88 @@ TEST(SpmLoss, CalibratedValuesAreReasonable)
         const double s = ht::spmMotorLossW(d);
         EXPECT_GT(s, 5.0) << d;
         EXPECT_LT(s, 20.0) << d;
+    }
+}
+
+TEST(DriveThermalCache, ControlUpdatesMatchFullRebuild)
+{
+    // setVcmDuty/setAmbient/setAmbientOffsetC touch one term each; a twin
+    // that re-runs the full operating-point rebuild after every change
+    // (setRpm at the current speed) must stay bit-identical, across real
+    // speed changes and power cycles too.
+    const auto cfg = config(2.6, 1, 15020.0);
+    ht::DriveThermalModel fast(cfg);
+    ht::DriveThermalModel full(cfg);
+    auto rebuild = [&full] { full.setRpm(full.config().rpm); };
+    double t = 0.0;
+    for (int i = 0; i < 3000; ++i) {
+        const double duty = 0.5 + 0.5 * std::sin(0.37 * i);
+        const double ambient = 28.0 + 3.0 * std::sin(0.011 * i);
+        fast.setVcmDuty(duty);
+        fast.setAmbient(ambient);
+        full.setVcmDuty(duty);
+        rebuild();
+        full.setAmbient(ambient);
+        rebuild();
+        if (i % 400 == 100) {
+            const double offset = 0.25 * (i % 3);
+            fast.setAmbientOffsetC(offset);
+            full.setAmbientOffsetC(offset);
+            rebuild();
+        }
+        if (i % 500 == 250) {
+            const double rpm = i % 1000 == 250 ? 24534.0 : 15020.0;
+            fast.setRpm(rpm);
+            full.setRpm(rpm);
+        }
+        if (i % 700 == 600) {
+            const bool on = !fast.powered();
+            fast.setPowered(on);
+            full.setPowered(on);
+        }
+        t += 0.1;
+        fast.advanceTo(t);
+        full.advanceTo(t);
+        const std::string m = networkMismatch(fast, full);
+        ASSERT_TRUE(m.empty()) << m << " at tick " << i;
+    }
+}
+
+TEST(DriveThermalCache, LoadStateAtOtherRpmMatchesFreshRestore)
+{
+    const auto cfg = config(2.6, 1, 15020.0);
+
+    // The checkpoint: a drive at a different speed with its own history.
+    ht::DriveThermalModel source(cfg);
+    source.setRpm(24534.0);
+    source.setVcmDuty(0.4);
+    for (int i = 0; i < 300; ++i)
+        source.advance(0.1);
+    hsnap::StateWriter w("thermal.model");
+    source.saveState(w);
+    const auto buf = w.buffer();
+
+    // A warm model whose cached factorization (15 020 RPM conductances,
+    // dt = 0.1 s exactly) would be wrong for the restored operating point.
+    ht::DriveThermalModel warm(cfg);
+    warm.setVcmDuty(0.9);
+    for (int i = 0; i < 200; ++i)
+        warm.advance(0.1);
+    ht::DriveThermalModel fresh(cfg);
+
+    hsnap::StateReader warm_reader("thermal.model", buf.data(), buf.size());
+    warm.loadState(warm_reader);
+    hsnap::StateReader fresh_reader("thermal.model", buf.data(), buf.size());
+    fresh.loadState(fresh_reader);
+    ASSERT_TRUE(networkMismatch(warm, fresh).empty());
+
+    for (int i = 0; i < 500; ++i) {
+        const double duty = i % 2 ? 0.7 : 0.1;
+        warm.setVcmDuty(duty);
+        fresh.setVcmDuty(duty);
+        warm.advance(0.1);
+        fresh.advance(0.1);
+        const std::string m = networkMismatch(warm, fresh);
+        ASSERT_TRUE(m.empty()) << m << " at step " << i;
     }
 }
