@@ -67,18 +67,42 @@ SimKernel::domainPriority(DomainId id) const
 void
 SimKernel::schedule(SimTime when, DomainId domain, Callback cb)
 {
-    scheduleImpl(when, domain, nullptr, std::move(cb));
+    scheduleImpl(when, domain, next_seq_, nullptr, std::move(cb));
+    ++next_seq_;
 }
 
 void
 SimKernel::schedule(SimTime when, DomainId domain,
                     const snap::EventTag& tag, Callback cb)
 {
-    scheduleImpl(when, domain, &tag, std::move(cb));
+    scheduleImpl(when, domain, next_seq_, &tag, std::move(cb));
+    ++next_seq_;
+}
+
+std::uint64_t
+SimKernel::reserveSequences(std::uint64_t n)
+{
+    HDDTHERM_REQUIRE(n <= (std::uint64_t(1) << kSeqBits) - next_seq_,
+                     "sequence reservation exceeds the 32-bit key field");
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    reserved_pending_ += n;
+    return first;
 }
 
 void
-SimKernel::scheduleImpl(SimTime when, DomainId domain,
+SimKernel::scheduleReserved(SimTime when, DomainId domain,
+                            std::uint64_t seq, const snap::EventTag& tag,
+                            Callback cb)
+{
+    HDDTHERM_REQUIRE(seq < next_seq_ && reserved_pending_ > 0,
+                     "sequence number was not reserved");
+    scheduleImpl(when, domain, seq, &tag, std::move(cb));
+    --reserved_pending_;
+}
+
+void
+SimKernel::scheduleImpl(SimTime when, DomainId domain, std::uint64_t seq,
                         const snap::EventTag* tag, Callback cb)
 {
     HDDTHERM_REQUIRE(when >= now_, "cannot schedule into the past");
@@ -87,10 +111,9 @@ SimKernel::scheduleImpl(SimTime when, DomainId domain,
     // 2^32 events per kernel instance is far beyond any simulation here
     // (kernels are per drive / per fleet barrier loop), and the cap
     // fails loudly rather than silently mis-ordering.
-    HDDTHERM_ASSERT(next_seq_ >> kSeqBits == 0);
+    HDDTHERM_ASSERT(seq >> kSeqBits == 0);
     Event ev{when,
-             domains_[std::size_t(domain)].key_base |
-                 (next_seq_++ << kDomainBits),
+             domains_[std::size_t(domain)].key_base | (seq << kDomainBits),
              std::move(cb)};
     if (snapshots_) {
         if (tag)
@@ -204,7 +227,8 @@ SimKernel::enableSnapshots(bool on)
 {
     if (on == snapshots_)
         return;
-    HDDTHERM_REQUIRE(heap_.empty() && periodic_.empty(),
+    HDDTHERM_REQUIRE(heap_.empty() && periodic_.empty() &&
+                         reserved_pending_ == 0,
                      "snapshot bookkeeping must be toggled on an idle "
                      "kernel (before any event or periodic task exists)");
     snapshots_ = on;
@@ -223,6 +247,12 @@ SimKernel::saveState(snap::StateWriter& w) const
                          std::to_string(untagged_pending_) +
                          " pending event(s) were scheduled without a "
                          "snapshot tag and cannot be reconstructed");
+    HDDTHERM_REQUIRE(reserved_pending_ == 0,
+                     "cannot save kernel state: " +
+                         std::to_string(reserved_pending_) +
+                         " reserved sequence number(s) stand for events "
+                         "not yet scheduled (an active trace feed), which "
+                         "a checkpoint would silently drop");
 
     w.f64("kernel.now", now_);
     w.u64("kernel.next_seq", next_seq_);

@@ -105,6 +105,27 @@ class SimKernel
     void schedule(SimTime when, DomainId domain,
                   const snap::EventTag& tag, Callback cb);
 
+    /**
+     * Reserve @p n consecutive sequence numbers and return the first.
+     * A caller that knows up front which events it will schedule — a
+     * trace replay — reserves their keys at once and schedules each
+     * event later with scheduleReserved().  Every event then sorts
+     * exactly where it would have had it been scheduled at reservation
+     * time, while only the live frontier occupies the heap.
+     */
+    std::uint64_t reserveSequences(std::uint64_t n);
+
+    /**
+     * Schedule @p cb at @p when under @p domain with the reserved
+     * sequence number @p seq (from reserveSequences(), each number used
+     * once).  The tag is recorded as for the tagged schedule().
+     */
+    void scheduleReserved(SimTime when, DomainId domain, std::uint64_t seq,
+                          const snap::EventTag& tag, Callback cb);
+
+    /// Reserved sequence numbers not yet scheduled (0 is required to save).
+    std::uint64_t reservedPending() const { return reserved_pending_; }
+
     /// Schedule @p cb at now() + @p delay.
     void scheduleAfter(SimTime delay, Callback cb)
     {
@@ -194,9 +215,11 @@ class SimKernel
     /**
      * Serialize clocks, the periodic-task table, and every pending
      * event (as its tag, in canonical (when, key) order).  Requires
-     * snapshots enabled, zero untagged pending events, and a name on
-     * every live periodic task — violations throw util::ModelError
-     * rather than silently dropping state.
+     * snapshots enabled, zero untagged pending events, no reserved
+     * sequence number still unscheduled (the events it stands for exist
+     * only in their owner's feed), and a name on every live periodic
+     * task — violations throw util::ModelError rather than silently
+     * dropping state.
      */
     void saveState(snap::StateWriter& w) const;
 
@@ -261,7 +284,7 @@ class SimKernel
 
     void firePeriodic(std::size_t index);
     void emit(TraceKind kind, const Event& ev);
-    void scheduleImpl(SimTime when, DomainId domain,
+    void scheduleImpl(SimTime when, DomainId domain, std::uint64_t seq,
                       const snap::EventTag* tag, Callback cb);
 
     /// Sequence number packed inside an event key (unique per event).
@@ -287,6 +310,7 @@ class SimKernel
     TraceSink* sink_ = nullptr;
     SimTime now_ = 0.0;
     std::uint64_t next_seq_ = 0;
+    std::uint64_t reserved_pending_ = 0;
     std::uint64_t fired_ = 0;
 
     /// Snapshot side table: sequence number -> tag of the pending event.

@@ -1,150 +1,24 @@
 /**
  * @file
- * Flat open-addressed map from a pending event's sequence number to its
- * snap::EventTag.
+ * Map from a pending event's sequence number to its snap::EventTag.
  *
  * Snapshot bookkeeping inserts and erases one entry per scheduled event,
  * so this map sits on the kernel's hot path whenever snapshots are
- * enabled.  The live population is only the pending-event set (typically
- * hundreds) while the churn is every event of the run (easily millions) —
- * the worst case for node-based containers, which pay one allocation per
- * event.  Linear probing over one flat array with backward-shift
- * deletion keeps insert, find, and erase allocation-free in the steady
- * state; bench_snap_overhead gates the resulting overhead.
+ * enabled.  It is the flat Robin Hood table of util/flat_map.h, which
+ * stays allocation-free once grown to the pending-event set;
+ * bench_snap_overhead gates the resulting overhead.
  */
 #ifndef HDDTHERM_ENGINE_TAG_MAP_H
 #define HDDTHERM_ENGINE_TAG_MAP_H
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
 #include "snap/snapshot.h"
+#include "util/flat_map.h"
 
 namespace hddtherm::engine {
 
-/// seq -> EventTag map specialized for the kernel's snapshot path.
-/// Keys must be unique (the kernel's sequence counter guarantees it).
-class EventTagMap
-{
-  public:
-    /// Insert a tag under @p seq (must not already be present).
-    void insert(std::uint64_t seq, const snap::EventTag& tag)
-    {
-        if ((size_ + 1) * 10 >= slots_.size() * 7)
-            grow();
-        // Robin Hood placement: displace any resident closer to its home
-        // than the incoming entry is to its own.  The resulting ordering
-        // invariant (probe distances never drop along a cluster) is what
-        // makes erase()'s stop-at-distance-zero backward shift correct.
-        Slot incoming;
-        incoming.seq = seq;
-        incoming.tag = tag;
-        incoming.used = true;
-        std::size_t i = home(seq);
-        std::size_t dist = 0;
-        while (slots_[i].used) {
-            const std::size_t resident = probeDistance(i);
-            if (resident < dist) {
-                std::swap(incoming, slots_[i]);
-                dist = resident;
-            }
-            i = next(i);
-            ++dist;
-        }
-        slots_[i] = incoming;
-        ++size_;
-    }
-
-    /// Tag stored under @p seq, or nullptr.
-    const snap::EventTag* find(std::uint64_t seq) const
-    {
-        if (slots_.empty())
-            return nullptr;
-        std::size_t i = home(seq);
-        while (slots_[i].used) {
-            if (slots_[i].seq == seq)
-                return &slots_[i].tag;
-            i = next(i);
-        }
-        return nullptr;
-    }
-
-    /// Remove @p seq; returns false if it was not present.
-    bool erase(std::uint64_t seq)
-    {
-        if (slots_.empty())
-            return false;
-        std::size_t i = home(seq);
-        while (slots_[i].used && slots_[i].seq != seq)
-            i = next(i);
-        if (!slots_[i].used)
-            return false;
-        // Backward-shift deletion: pull the rest of the probe cluster
-        // one slot back so lookups never need tombstones (which would
-        // otherwise accumulate one per fired event).
-        std::size_t hole = i;
-        for (std::size_t j = next(i); slots_[j].used; j = next(j)) {
-            if (probeDistance(j) == 0)
-                break;
-            slots_[hole] = slots_[j];
-            hole = j;
-        }
-        slots_[hole].used = false;
-        --size_;
-        return true;
-    }
-
-    /// Drop every entry, keeping the allocation.
-    void clear()
-    {
-        for (auto& slot : slots_)
-            slot.used = false;
-        size_ = 0;
-    }
-
-    std::size_t size() const { return size_; }
-
-  private:
-    struct Slot
-    {
-        std::uint64_t seq = 0;
-        snap::EventTag tag;
-        bool used = false;
-    };
-
-    std::size_t home(std::uint64_t seq) const
-    {
-        // Fibonacci hashing spreads the monotonically assigned sequence
-        // numbers across the (power-of-two) table.
-        return std::size_t((seq * 0x9E3779B97F4A7C15ull) >> 32) &
-               (slots_.size() - 1);
-    }
-
-    std::size_t next(std::size_t i) const
-    {
-        return (i + 1) & (slots_.size() - 1);
-    }
-
-    std::size_t probeDistance(std::size_t i) const
-    {
-        return (i - home(slots_[i].seq)) & (slots_.size() - 1);
-    }
-
-    void grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
-        size_ = 0;
-        for (const auto& slot : old) {
-            if (slot.used)
-                insert(slot.seq, slot.tag);
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-};
+/// seq -> EventTag map for the kernel's snapshot path.  Keys must be
+/// unique (the kernel's sequence counter guarantees it).
+using EventTagMap = util::FlatU64Map<snap::EventTag>;
 
 } // namespace hddtherm::engine
 

@@ -18,15 +18,24 @@ DiskCache::DiskCache(std::size_t capacity_bytes, int segments)
     segment_sectors_ = total_sectors / segments;
     HDDTHERM_REQUIRE(segment_sectors_ >= 1,
                      "cache too small for the segment count");
+    segments_.reserve(std::size_t(segments));
+}
+
+void
+DiskCache::promote(std::size_t i)
+{
+    std::rotate(segments_.begin(), segments_.begin() + std::ptrdiff_t(i),
+                segments_.begin() + std::ptrdiff_t(i) + 1);
 }
 
 bool
 DiskCache::read(std::int64_t lba, int sectors)
 {
     HDDTHERM_REQUIRE(sectors >= 1, "empty read");
-    for (auto it = segments_.begin(); it != segments_.end(); ++it) {
-        if (lba >= it->start && lba + sectors <= it->start + it->length) {
-            segments_.splice(segments_.begin(), segments_, it);
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+        const Segment& seg = segments_[i];
+        if (lba >= seg.start && lba + sectors <= seg.start + seg.length) {
+            promote(i);
             ++stats_.readHits;
             HDDTHERM_OBS_COUNT("sim.cache.read_hit");
             return true;
@@ -45,20 +54,18 @@ DiskCache::install(std::int64_t lba, std::int64_t sectors)
 
     // Reuse a segment this extent overlaps (the common sequential-stream
     // case) instead of fragmenting the extent across segments.
-    for (auto it = segments_.begin(); it != segments_.end(); ++it) {
-        const bool overlaps = lba < it->start + it->length &&
-                              it->start < lba + length;
-        if (overlaps) {
-            it->start = lba;
-            it->length = length;
-            segments_.splice(segments_.begin(), segments_, it);
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+        Segment& seg = segments_[i];
+        if (lba < seg.start + seg.length && seg.start < lba + length) {
+            seg = {lba, length};
+            promote(i);
             return;
         }
     }
 
     if (int(segments_.size()) == max_segments_)
         segments_.pop_back();
-    segments_.push_front({lba, length});
+    segments_.insert(segments_.begin(), {lba, length});
 }
 
 void

@@ -13,7 +13,6 @@
 #define HDDTHERM_SIM_CACHE_H
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 namespace hddtherm::snap {
@@ -85,9 +84,14 @@ class DiskCache
         std::int64_t length;
     };
 
+    /// Move segment @p i to the front, keeping the others' order.
+    void promote(std::size_t i);
+
     std::int64_t segment_sectors_;
     int max_segments_;
-    std::list<Segment> segments_; // front = most recently used
+    /// Front = most recently used.  Capacity is reserved for
+    /// max_segments_ up front, so lookups and installs never allocate.
+    std::vector<Segment> segments_;
     CacheStats stats_;
 };
 

@@ -161,19 +161,23 @@ SimDisk::tryDispatch()
     }
 
     activity_.busySec += service;
-    const SimTime finish_time = now + service;
+    in_service_ = req;
+    finish_time_ = now + service;
     snap::EventTag tag;
     tag.kind = snap::kEvtDiskFinish;
     tag.aux = std::uint32_t(id_);
     packIoRequest(req, tag.w.data());
-    tag.w[5] = std::bit_cast<std::uint64_t>(finish_time);
-    events_.schedule(finish_time, domain_, tag,
-                     [this, req, finish_time] { finish(req, finish_time); });
+    tag.w[5] = std::bit_cast<std::uint64_t>(finish_time_);
+    events_.schedule(finish_time_, domain_, tag, [this] { finish(); });
 }
 
 void
-SimDisk::finish(const IoRequest& request, SimTime finish_time)
+SimDisk::finish()
 {
+    // Copied out: the handler may start the next service, which
+    // overwrites in_service_.
+    const IoRequest request = in_service_;
+    const SimTime finish_time = finish_time_;
     busy_ = false;
     idle_since_ = finish_time;
     noteDepthChange(finish_time, -1);
@@ -270,9 +274,9 @@ SimDisk::restoreEvent(const snap::EventTag& tag)
         };
     }
     if (tag.kind == snap::kEvtDiskFinish) {
-        const IoRequest req = unpackIoRequest(tag.w.data());
-        const auto finish_time = std::bit_cast<SimTime>(tag.w[5]);
-        return [this, req, finish_time] { finish(req, finish_time); };
+        in_service_ = unpackIoRequest(tag.w.data());
+        finish_time_ = std::bit_cast<SimTime>(tag.w[5]);
+        return [this] { finish(); };
     }
     return nullptr;
 }

@@ -167,7 +167,7 @@ class SimDisk
 
   private:
     void tryDispatch();
-    void finish(const IoRequest& request, SimTime finish_time);
+    void finish();
     void noteDepthChange(SimTime now, int delta);
 
     EventQueue& events_;
@@ -182,6 +182,12 @@ class SimDisk
     CompletionHandler handler_;
     DiskActivity activity_;
     bool busy_ = false;
+    /// The request in service while busy_, and when its service ends.
+    /// One request is served at a time, so the finish event needs no
+    /// copy of its own (and its closure fits std::function's inline
+    /// buffer).
+    IoRequest in_service_;
+    SimTime finish_time_ = 0.0;
     bool gated_ = false;
     SimTime idle_since_ = 0.0;   ///< When the disk last went idle.
     std::vector<double> idle_gaps_;

@@ -39,8 +39,17 @@ validateStripeArgs(std::int64_t lba, int sectors, int disks,
 std::vector<StripeTarget>
 stripeRaid0(std::int64_t lba, int sectors, int disks, int stripe_sectors)
 {
-    validateStripeArgs(lba, sectors, disks, stripe_sectors, 1);
     std::vector<StripeTarget> out;
+    stripeRaid0(lba, sectors, disks, stripe_sectors, out);
+    return out;
+}
+
+void
+stripeRaid0(std::int64_t lba, int sectors, int disks, int stripe_sectors,
+            std::vector<StripeTarget>& out)
+{
+    validateStripeArgs(lba, sectors, disks, stripe_sectors, 1);
+    out.clear();
     std::int64_t cur = lba;
     int remaining = sectors;
     while (remaining > 0) {
@@ -55,7 +64,6 @@ stripeRaid0(std::int64_t lba, int sectors, int disks, int stripe_sectors)
         cur += len;
         remaining -= len;
     }
-    return out;
 }
 
 int
@@ -81,9 +89,18 @@ raid5ParityTarget(std::int64_t row, int disks, int stripe_sectors)
 std::vector<StripeTarget>
 stripeRaid5Data(std::int64_t lba, int sectors, int disks, int stripe_sectors)
 {
+    std::vector<StripeTarget> out;
+    stripeRaid5Data(lba, sectors, disks, stripe_sectors, out);
+    return out;
+}
+
+void
+stripeRaid5Data(std::int64_t lba, int sectors, int disks,
+                int stripe_sectors, std::vector<StripeTarget>& out)
+{
     validateStripeArgs(lba, sectors, disks, stripe_sectors, 2);
     const int data_disks = disks - 1;
-    std::vector<StripeTarget> out;
+    out.clear();
     std::int64_t cur = lba;
     int remaining = sectors;
     while (remaining > 0) {
@@ -101,7 +118,6 @@ stripeRaid5Data(std::int64_t lba, int sectors, int disks, int stripe_sectors)
         cur += len;
         remaining -= len;
     }
-    return out;
 }
 
 std::int64_t

@@ -49,6 +49,11 @@ struct StripeTarget
 std::vector<StripeTarget> stripeRaid0(std::int64_t lba, int sectors,
                                       int disks, int stripe_sectors);
 
+/// As stripeRaid0(), writing the targets into @p out (cleared first) so
+/// a caller can reuse its storage.
+void stripeRaid0(std::int64_t lba, int sectors, int disks,
+                 int stripe_sectors, std::vector<StripeTarget>& out);
+
 /**
  * Split a logical extent across the data units of a RAID-5 array
  * (parity units are not included; see raid5ParityTarget()).
@@ -57,6 +62,12 @@ std::vector<StripeTarget> stripeRaid0(std::int64_t lba, int sectors,
  */
 std::vector<StripeTarget> stripeRaid5Data(std::int64_t lba, int sectors,
                                           int disks, int stripe_sectors);
+
+/// As stripeRaid5Data(), writing the targets into @p out (cleared
+/// first).  Targets come in ascending LBA order, so each row's targets
+/// are one contiguous run, rows ascending.
+void stripeRaid5Data(std::int64_t lba, int sectors, int disks,
+                     int stripe_sectors, std::vector<StripeTarget>& out);
 
 /// Disk holding the parity unit of RAID-5 row @p row.
 int raid5ParityDisk(std::int64_t row, int disks);

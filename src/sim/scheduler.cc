@@ -28,33 +28,48 @@ Scheduler::Scheduler(SchedulerPolicy policy) : policy_(policy) {}
 void
 Scheduler::push(const IoRequest& request, int cylinder)
 {
-    queue_.push_back({request, cylinder});
+    if (front_ + count_ == chunks_.size() * kChunk)
+        chunks_.emplace_back(kChunk);
+    at(count_++) = {request, cylinder};
     HDDTHERM_OBS_COUNT("sim.scheduler.pushed");
-    HDDTHERM_OBS_GAUGE_SET("sim.scheduler.queue_depth", queue_.size());
+    HDDTHERM_OBS_GAUGE_SET("sim.scheduler.queue_depth", count_);
+}
+
+Scheduler::Entry
+Scheduler::take(std::size_t i)
+{
+    const Entry out = at(i);
+    if (i == 0) {
+        ++front_;
+    } else {
+        for (std::size_t j = i; j + 1 < count_; ++j)
+            at(j) = at(j + 1);
+    }
+    if (--count_ == 0) {
+        front_ = 0;
+    } else if (front_ == kChunk) {
+        std::rotate(chunks_.begin(), chunks_.begin() + 1, chunks_.end());
+        front_ = 0;
+    }
+    return out;
 }
 
 Scheduler::Entry
 Scheduler::pop(int head_cylinder)
 {
-    HDDTHERM_REQUIRE(!queue_.empty(), "pop from empty scheduler");
-
-    auto take = [this](std::deque<Entry>::iterator it) {
-        Entry out = *it;
-        queue_.erase(it);
-        return out;
-    };
+    HDDTHERM_REQUIRE(!empty(), "pop from empty scheduler");
 
     switch (policy_) {
       case SchedulerPolicy::Fcfs:
-        return take(queue_.begin());
+        return take(0);
 
       case SchedulerPolicy::Sstf: {
-        auto best = queue_.begin();
-        int best_dist = std::abs(best->cylinder - head_cylinder);
-        for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-            const int dist = std::abs(it->cylinder - head_cylinder);
+        std::size_t best = 0;
+        int best_dist = std::abs(at(0).cylinder - head_cylinder);
+        for (std::size_t i = 1; i < count_; ++i) {
+            const int dist = std::abs(at(i).cylinder - head_cylinder);
             if (dist < best_dist) {
-                best = it;
+                best = i;
                 best_dist = dist;
             }
         }
@@ -65,28 +80,28 @@ Scheduler::pop(int head_cylinder)
         // LOOK: nearest request in the sweep direction; reverse when the
         // direction is exhausted.
         for (int attempt = 0; attempt < 2; ++attempt) {
-            auto best = queue_.end();
+            std::size_t best = count_;
             int best_dist = 0;
-            for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-                const int delta = it->cylinder - head_cylinder;
+            for (std::size_t i = 0; i < count_; ++i) {
+                const int delta = at(i).cylinder - head_cylinder;
                 if (sweep_up_ ? delta < 0 : delta > 0)
                     continue;
                 const int dist = std::abs(delta);
-                if (best == queue_.end() || dist < best_dist) {
-                    best = it;
+                if (best == count_ || dist < best_dist) {
+                    best = i;
                     best_dist = dist;
                 }
             }
-            if (best != queue_.end())
+            if (best != count_)
                 return take(best);
             sweep_up_ = !sweep_up_;
         }
         HDDTHERM_ASSERT(false && "elevator found no request");
-        return take(queue_.begin());
+        return take(0);
       }
     }
     HDDTHERM_ASSERT(false && "unknown scheduler policy");
-    return take(queue_.begin());
+    return take(0);
 }
 
 
@@ -96,14 +111,15 @@ Scheduler::saveState(snap::StateWriter& w) const
     w.str("policy", schedulerPolicyName(policy_));
     w.boolean("sweep_up", sweep_up_);
     snap::BlobWriter blob;
-    for (const auto& entry : queue_) {
+    for (std::size_t i = 0; i < count_; ++i) {
+        const Entry& entry = at(i);
         std::uint64_t words[5];
         packIoRequest(entry.request, words);
         for (const auto word : words)
             blob.u64(word);
         blob.i64(entry.cylinder);
     }
-    w.u64("queued", queue_.size());
+    w.u64("queued", count_);
     w.bytes("queue_blob", blob.take());
 }
 
@@ -120,15 +136,14 @@ Scheduler::loadState(snap::StateReader& r)
     const auto raw = r.bytes("queue_blob");
     snap::BlobReader blob("section '" + r.section() + "' scheduler queue",
                           raw);
-    queue_.clear();
+    front_ = 0;
+    count_ = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t words[5];
         for (auto& word : words)
             word = blob.u64();
-        Entry entry;
-        entry.request = unpackIoRequest(words);
-        entry.cylinder = int(blob.i64());
-        queue_.push_back(std::move(entry));
+        const IoRequest request = unpackIoRequest(words);
+        push(request, int(blob.i64()));
     }
     HDDTHERM_REQUIRE(blob.atEnd(), "checkpoint section '" + r.section() +
                                        "' carries trailing queue bytes");

@@ -11,9 +11,7 @@
 #ifndef HDDTHERM_SIM_SCHEDULER_H
 #define HDDTHERM_SIM_SCHEDULER_H
 
-#include <deque>
-#include <functional>
-#include <memory>
+#include <vector>
 
 #include "sim/request.h"
 
@@ -52,10 +50,10 @@ class Scheduler
     void push(const IoRequest& request, int cylinder);
 
     /// True when no requests are pending.
-    bool empty() const { return queue_.empty(); }
+    bool empty() const { return size() == 0; }
 
     /// Pending count.
-    std::size_t size() const { return queue_.size(); }
+    std::size_t size() const { return count_; }
 
     /**
      * Remove and return the next request to service given the current
@@ -73,8 +71,33 @@ class Scheduler
     void loadState(snap::StateReader& r);
 
   private:
+    /// Entries per chunk (a power of two).
+    static constexpr std::size_t kChunk = 32;
+
+    /// The @p i-th pending entry in arrival order.
+    Entry& at(std::size_t i)
+    {
+        const std::size_t slot = front_ + i;
+        return chunks_[slot / kChunk][slot % kChunk];
+    }
+    const Entry& at(std::size_t i) const
+    {
+        const std::size_t slot = front_ + i;
+        return chunks_[slot / kChunk][slot % kChunk];
+    }
+
+    /// Remove and return the @p i-th pending entry, keeping the others
+    /// in arrival order.
+    Entry take(std::size_t i);
+
     SchedulerPolicy policy_;
-    std::deque<Entry> queue_;
+    /// Pending entries in arrival order, stored from chunks_[0][front_]
+    /// on.  A chunk emptied at the front is rotated to the back for
+    /// reuse, so the storage follows the queue's peak length without
+    /// growth copies, and a steady stream allocates nothing.
+    std::vector<std::vector<Entry>> chunks_;
+    std::size_t front_ = 0;
+    std::size_t count_ = 0;
     bool sweep_up_ = true; ///< Elevator direction state.
 };
 

@@ -1,8 +1,8 @@
 #include "sim/storage_system.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <numeric>
+#include <span>
 
 #include "obs/metrics.h"
 #include "snap/state.h"
@@ -47,7 +47,7 @@ StorageSystem::setCompletionCallback(CompletionCallback cb)
 }
 
 void
-StorageSystem::submit(const IoRequest& request)
+StorageSystem::validate(const IoRequest& request) const
 {
     HDDTHERM_REQUIRE(request.sectors >= 1, "empty request");
     HDDTHERM_REQUIRE(request.lba >= 0 &&
@@ -58,23 +58,93 @@ StorageSystem::submit(const IoRequest& request)
                              request.device < config_.disks,
                          "device id out of range");
     }
-    HDDTHERM_OBS_COUNT("sim.system.submitted");
+    HDDTHERM_REQUIRE(request.arrival >= events_.now(),
+                     "cannot schedule into the past");
+}
+
+namespace {
+
+snap::EventTag
+arrivalTag(const IoRequest& request)
+{
     snap::EventTag tag;
     tag.kind = snap::kEvtArrival;
     packIoRequest(request, tag.w.data());
-    events_.schedule(request.arrival, domain_, tag,
+    return tag;
+}
+
+} // namespace
+
+void
+StorageSystem::submit(const IoRequest& request)
+{
+    validate(request);
+    HDDTHERM_OBS_COUNT("sim.system.submitted");
+    events_.schedule(request.arrival, domain_, arrivalTag(request),
                      [this, request] { dispatch(request); });
 }
 
 ResponseMetrics
 StorageSystem::run(const std::vector<IoRequest>& workload)
 {
-    resetMetrics();
+    HDDTHERM_REQUIRE(feed_live_ == 0,
+                     "run() called while arrivals of an earlier run() are "
+                     "still pending");
     for (const auto& req : workload)
-        submit(req);
-    runAll();
-    HDDTHERM_ASSERT(inflight_.empty());
+        validate(req);
+    HDDTHERM_OBS_ADD("sim.system.submitted", workload.size());
+    resetMetrics();
+
+    // Eager submission gave request i the sequence number base + i, so
+    // arrivals fired in (arrival, index) order.  Feeding them in that
+    // order under those same numbers keeps every heap key, and with it
+    // the whole event history, bit-identical.
+    feed_ = &workload;
+    feed_copy_ = {};
+    feed_order_.resize(workload.size());
+    std::iota(feed_order_.begin(), feed_order_.end(), std::uint32_t(0));
+    const auto earlier = [&workload](std::uint32_t a, std::uint32_t b) {
+        return workload[a].arrival < workload[b].arrival;
+    };
+    if (!std::is_sorted(feed_order_.begin(), feed_order_.end(), earlier))
+        std::stable_sort(feed_order_.begin(), feed_order_.end(), earlier);
+    feed_base_ = events_.reserveSequences(workload.size());
+    feed_next_ = 0;
+    feed_live_ = workload.size();
+    if (feeding())
+        feedNext();
+
+    try {
+        runAll();
+    } catch (...) {
+        // The caller's trace may not outlive this exception, but pending
+        // arrivals still read it: keep them runnable from a copy, as the
+        // events of eager submission would have been.
+        if (feed_live_ > 0) {
+            feed_copy_ = workload;
+            feed_ = &feed_copy_;
+        }
+        throw;
+    }
+    HDDTHERM_ASSERT(feed_live_ == 0 && inflight_.empty());
+    feed_ = nullptr;
+    feed_order_ = {};
+    feed_next_ = 0;
     return metrics_;
+}
+
+void
+StorageSystem::feedNext()
+{
+    const std::uint32_t index = feed_order_[feed_next_++];
+    const IoRequest& request = (*feed_)[index];
+    events_.scheduleReserved(request.arrival, domain_, feed_base_ + index,
+                             arrivalTag(request), [this, index] {
+                                 --feed_live_;
+                                 if (feeding())
+                                     feedNext();
+                                 dispatch((*feed_)[index]);
+                             });
 }
 
 void
@@ -142,30 +212,48 @@ StorageSystem::pickMirror() const
     return best;
 }
 
+std::uint32_t
+StorageSystem::acquireSlot(const IoRequest& logical, bool reported)
+{
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = std::uint32_t(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    Outstanding& out = slots_[slot];
+    out.logical = logical;
+    out.remaining = 0;
+    out.reported = reported;
+    out.phase2.clear();
+    inflight_.insert(logical.id, slot);
+    return slot;
+}
+
 void
-StorageSystem::issueSub(std::uint64_t parent_id, int disk_index,
+StorageSystem::issueSub(std::uint32_t slot, int disk_index,
                         const IoRequest& sub)
 {
     IoRequest out = sub;
     out.id = next_sub_id_++;
     out.device = disk_index;
     out.arrival = events_.now();
-    sub_to_parent_.emplace(out.id, parent_id);
+    sub_to_parent_.insert(out.id, slot);
     disks_[std::size_t(disk_index)]->submit(out);
 }
 
 void
 StorageSystem::dispatch(const IoRequest& request)
 {
-    HDDTHERM_REQUIRE(!inflight_.count(request.id),
+    HDDTHERM_REQUIRE(!inflight_.find(request.id),
                      "duplicate in-flight logical request id");
-    Outstanding out;
-    out.logical = request;
 
     // Array-controller write-back cache: report the write now; the media
     // traffic still flows below.
-    if (config_.immediateWriteReport && request.isWrite()) {
-        out.reported = true;
+    const bool reported = config_.immediateWriteReport && request.isWrite();
+    if (reported) {
         IoCompletion done;
         done.id = request.id;
         done.arrival = request.arrival;
@@ -176,12 +264,15 @@ StorageSystem::dispatch(const IoRequest& request)
             callback_(done);
     }
 
+    // Sub-requests never complete synchronously, so this reference
+    // outlives every issueSub() below.
+    const std::uint32_t slot = acquireSlot(request, reported);
+    Outstanding& out = slots_[slot];
+
     switch (config_.raid) {
       case RaidLevel::None: {
         out.remaining = 1;
-        inflight_.emplace(request.id, std::move(out));
-        IoRequest sub = request;
-        issueSub(request.id, request.device, sub);
+        issueSub(slot, request.device, request);
         return;
       }
 
@@ -189,154 +280,144 @@ StorageSystem::dispatch(const IoRequest& request)
         if (request.isWrite()) {
             // Writes propagate to every surviving mirror.
             out.remaining = config_.disks - (failed_ >= 0 ? 1 : 0);
-            inflight_.emplace(request.id, std::move(out));
             for (int d = 0; d < config_.disks; ++d) {
                 if (d != failed_)
-                    issueSub(request.id, d, request);
+                    issueSub(slot, d, request);
             }
         } else {
             out.remaining = 1;
-            inflight_.emplace(request.id, std::move(out));
-            issueSub(request.id, pickMirror(), request);
+            issueSub(slot, pickMirror(), request);
         }
         return;
       }
 
       case RaidLevel::Raid0: {
-        const auto targets = stripeRaid0(request.lba, request.sectors,
-                                         config_.disks,
-                                         config_.stripeSectors);
-        out.remaining = int(targets.size());
-        inflight_.emplace(request.id, std::move(out));
-        for (const auto& t : targets) {
+        stripeRaid0(request.lba, request.sectors, config_.disks,
+                    config_.stripeSectors, targets_);
+        out.remaining = int(targets_.size());
+        for (const auto& t : targets_) {
             IoRequest sub = request;
             sub.lba = t.lba;
             sub.sectors = t.sectors;
-            issueSub(request.id, t.disk, sub);
+            issueSub(slot, t.disk, sub);
         }
         return;
       }
 
       case RaidLevel::Raid5: {
-        const auto data = stripeRaid5Data(request.lba, request.sectors,
-                                          config_.disks,
-                                          config_.stripeSectors);
+        stripeRaid5Data(request.lba, request.sectors, config_.disks,
+                        config_.stripeSectors, targets_);
 
-        std::vector<std::pair<int, IoRequest>> phase1;
-        std::vector<std::pair<int, IoRequest>> phase2;
-        auto add = [&](int disk_index, std::int64_t lba, int sectors,
-                       IoType type,
-                       std::vector<std::pair<int, IoRequest>>* bucket) {
+        // Phase 1 goes out now; phase 2 (the writes of read-modify-write)
+        // waits in the record until phase 1 completes.
+        phase1_.clear();
+        auto add = [&](std::vector<IoRequest>& bucket, int disk_index,
+                       std::int64_t lba, int sectors, IoType type) {
             IoRequest sub = request;
+            sub.device = disk_index;
             sub.lba = lba;
             sub.sectors = sectors;
             sub.type = type;
-            bucket->emplace_back(disk_index, sub);
+            bucket.push_back(sub);
         };
 
         if (!request.isWrite()) {
-            for (const auto& t : data) {
+            for (const auto& t : targets_) {
                 if (t.disk != failed_) {
-                    add(t.disk, t.lba, t.sectors, IoType::Read, &phase1);
+                    add(phase1_, t.disk, t.lba, t.sectors, IoType::Read);
                     continue;
                 }
                 // Degraded read: reconstruct from the same sector range
                 // of every surviving unit in the row (data + parity).
                 for (int d = 0; d < config_.disks; ++d) {
                     if (d != failed_)
-                        add(d, t.lba, t.sectors, IoType::Read, &phase1);
+                        add(phase1_, d, t.lba, t.sectors, IoType::Read);
                 }
             }
-            out.remaining = int(phase1.size());
-            inflight_.emplace(request.id, std::move(out));
-            for (const auto& [disk_index, sub] : phase1)
-                issueSub(request.id, disk_index, sub);
-            return;
-        }
+        } else {
+            // Writes, organized per touched row: classic
+            // read-modify-write when the row is healthy; parity-less
+            // writes when the row's parity member is the failed one;
+            // reconstruct-write (read the surviving complement, rewrite
+            // parity) when a data member is.  Each row's targets are one
+            // contiguous run of targets_, rows ascending.
+            for (auto first = targets_.begin(); first != targets_.end();) {
+                const std::int64_t row =
+                    raid5RowOfTarget(*first, config_.stripeSectors);
+                const auto last = std::find_if(
+                    first, targets_.end(), [&](const StripeTarget& t) {
+                        return raid5RowOfTarget(t, config_.stripeSectors) !=
+                               row;
+                    });
+                const std::span<const StripeTarget> targets(first, last);
+                first = last;
 
-        // Writes, organized per touched row: classic read-modify-write
-        // when the row is healthy; parity-less writes when the row's
-        // parity member is the failed one; reconstruct-write (read the
-        // surviving complement, rewrite parity) when a data member is.
-        std::map<std::int64_t, std::vector<StripeTarget>> rows;
-        for (const auto& t : data)
-            rows[raid5RowOfTarget(t, config_.stripeSectors)].push_back(t);
+                const int parity_disk = raid5ParityDisk(row, config_.disks);
+                const auto parity = raid5ParityTarget(
+                    row, config_.disks, config_.stripeSectors);
+                const bool data_member_lost =
+                    failed_ >= 0 && failed_ != parity_disk &&
+                    std::any_of(targets.begin(), targets.end(),
+                                [this](const StripeTarget& t) {
+                                    return t.disk == failed_;
+                                });
 
-        for (const auto& [row, targets] : rows) {
-            const int parity_disk = raid5ParityDisk(row, config_.disks);
-            const auto parity =
-                raid5ParityTarget(row, config_.disks,
-                                  config_.stripeSectors);
-            const bool data_member_lost =
-                failed_ >= 0 && failed_ != parity_disk &&
-                std::any_of(targets.begin(), targets.end(),
-                            [this](const StripeTarget& t) {
-                                return t.disk == failed_;
+                if (parity_disk == failed_) {
+                    // No parity to maintain: plain data writes.
+                    for (const auto& t : targets)
+                        add(out.phase2, t.disk, t.lba, t.sectors,
+                            IoType::Write);
+                } else if (data_member_lost) {
+                    // Reconstruct-write: read every surviving data unit
+                    // of the row not (fully) supplied by this write, then
+                    // write the surviving targets and the recomputed
+                    // parity unit.
+                    for (int d = 0; d < config_.disks; ++d) {
+                        if (d == failed_ || d == parity_disk)
+                            continue;
+                        const bool fully_written = std::any_of(
+                            targets.begin(), targets.end(),
+                            [d, this](const StripeTarget& t) {
+                                return t.disk == d &&
+                                       t.sectors == config_.stripeSectors;
                             });
-
-            if (parity_disk == failed_) {
-                // No parity to maintain: plain data writes.
-                for (const auto& t : targets)
-                    add(t.disk, t.lba, t.sectors, IoType::Write, &phase2);
-            } else if (data_member_lost) {
-                // Reconstruct-write: read every surviving data unit of
-                // the row not (fully) supplied by this write, then write
-                // the surviving targets and the recomputed parity unit.
-                std::set<int> written_disks;
-                for (const auto& t : targets)
-                    written_disks.insert(t.disk);
-                for (int d = 0; d < config_.disks; ++d) {
-                    if (d == failed_ || d == parity_disk)
-                        continue;
-                    const bool fully_written = std::any_of(
-                        targets.begin(), targets.end(),
-                        [d, this](const StripeTarget& t) {
-                            return t.disk == d &&
-                                   t.sectors == config_.stripeSectors;
-                        });
-                    if (!fully_written) {
-                        add(d, row * config_.stripeSectors,
-                            config_.stripeSectors, IoType::Read, &phase1);
+                        if (!fully_written) {
+                            add(phase1_, d, row * config_.stripeSectors,
+                                config_.stripeSectors, IoType::Read);
+                        }
                     }
+                    for (const auto& t : targets) {
+                        if (t.disk != failed_)
+                            add(out.phase2, t.disk, t.lba, t.sectors,
+                                IoType::Write);
+                    }
+                    add(out.phase2, parity.disk, parity.lba, parity.sectors,
+                        IoType::Write);
+                } else {
+                    for (const auto& t : targets) {
+                        add(phase1_, t.disk, t.lba, t.sectors, IoType::Read);
+                        add(out.phase2, t.disk, t.lba, t.sectors,
+                            IoType::Write);
+                    }
+                    add(phase1_, parity.disk, parity.lba, parity.sectors,
+                        IoType::Read);
+                    add(out.phase2, parity.disk, parity.lba, parity.sectors,
+                        IoType::Write);
                 }
-                for (const auto& t : targets) {
-                    if (t.disk != failed_)
-                        add(t.disk, t.lba, t.sectors, IoType::Write,
-                            &phase2);
-                }
-                add(parity.disk, parity.lba, parity.sectors,
-                    IoType::Write, &phase2);
-            } else {
-                for (const auto& t : targets) {
-                    add(t.disk, t.lba, t.sectors, IoType::Read, &phase1);
-                    add(t.disk, t.lba, t.sectors, IoType::Write, &phase2);
-                }
-                add(parity.disk, parity.lba, parity.sectors, IoType::Read,
-                    &phase1);
-                add(parity.disk, parity.lba, parity.sectors,
-                    IoType::Write, &phase2);
             }
         }
 
-        out.phase2.reserve(phase2.size());
-        for (auto& [disk_index, sub] : phase2) {
-            sub.device = disk_index;
-            out.phase2.push_back(sub);
-        }
-        if (phase1.empty()) {
+        if (phase1_.empty()) {
             // Parity-less rows only: the writes are the single phase.
             out.remaining = int(out.phase2.size());
-            std::vector<IoRequest> writes;
-            writes.swap(out.phase2);
-            inflight_.emplace(request.id, std::move(out));
-            for (const auto& w : writes)
-                issueSub(request.id, w.device, w);
+            for (const auto& w : out.phase2)
+                issueSub(slot, w.device, w);
+            out.phase2.clear();
             return;
         }
-        out.remaining = int(phase1.size());
-        inflight_.emplace(request.id, std::move(out));
-        for (const auto& [disk_index, sub] : phase1)
-            issueSub(request.id, disk_index, sub);
+        out.remaining = int(phase1_.size());
+        for (const auto& sub : phase1_)
+            issueSub(slot, sub.device, sub);
         return;
       }
     }
@@ -346,32 +427,30 @@ StorageSystem::dispatch(const IoRequest& request)
 void
 StorageSystem::onSubComplete(const IoRequest& sub, SimTime finish)
 {
-    const auto sub_it = sub_to_parent_.find(sub.id);
-    HDDTHERM_ASSERT(sub_it != sub_to_parent_.end());
-    const std::uint64_t parent_id = sub_it->second;
-    sub_to_parent_.erase(sub_it);
+    const std::uint32_t* parent = sub_to_parent_.find(sub.id);
+    HDDTHERM_ASSERT(parent != nullptr);
+    const std::uint32_t slot = *parent;
+    sub_to_parent_.erase(sub.id);
 
-    const auto it = inflight_.find(parent_id);
-    HDDTHERM_ASSERT(it != inflight_.end());
-    Outstanding& out = it->second;
+    Outstanding& out = slots_[slot];
     HDDTHERM_ASSERT(out.remaining > 0);
     if (--out.remaining > 0)
         return;
 
     if (!out.phase2.empty()) {
-        std::vector<IoRequest> writes;
-        writes.swap(out.phase2);
-        out.remaining = int(writes.size());
-        for (const auto& w : writes)
-            issueSub(parent_id, w.device, w);
+        out.remaining = int(out.phase2.size());
+        for (const auto& w : out.phase2)
+            issueSub(slot, w.device, w);
+        out.phase2.clear();
         return;
     }
     completeLogical(out, finish);
-    inflight_.erase(it);
+    inflight_.erase(slots_[slot].logical.id);
+    free_slots_.push_back(slot);
 }
 
 void
-StorageSystem::completeLogical(Outstanding& out, SimTime finish)
+StorageSystem::completeLogical(const Outstanding& out, SimTime finish)
 {
     if (out.reported)
         return; // already counted at write-report time
@@ -409,6 +488,10 @@ blobReadRequest(snap::BlobReader& blob)
 void
 StorageSystem::saveState(snap::StateWriter& w) const
 {
+    HDDTHERM_REQUIRE(!feeding(),
+                     "cannot save storage state: run() still holds "
+                     "arrivals it has not scheduled, which a checkpoint "
+                     "would silently drop");
     {
         snap::ScopedPrefix scope(w, "metrics");
         metrics_.saveState(w);
@@ -418,17 +501,18 @@ StorageSystem::saveState(snap::StateWriter& w) const
     w.i64("mirror_rr", mirror_rr_);
     w.i64("failed", failed_);
 
-    // Hash maps are serialized in sorted-key order so identical states
-    // always produce identical checkpoint bytes.
-    std::vector<std::uint64_t> parent_ids;
-    parent_ids.reserve(inflight_.size());
-    for (const auto& [id, out] : inflight_)
-        parent_ids.push_back(id);
-    std::sort(parent_ids.begin(), parent_ids.end());
+    // The flat tables are serialized in sorted-id order so identical
+    // states always produce identical checkpoint bytes.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> parents;
+    parents.reserve(inflight_.size());
+    inflight_.forEach([&](std::uint64_t id, std::uint32_t slot) {
+        parents.emplace_back(id, slot);
+    });
+    std::sort(parents.begin(), parents.end());
     snap::BlobWriter inflight_blob;
     inflight_blob.reserve(inflight_.size() * 57);
-    for (const auto id : parent_ids) {
-        const Outstanding& out = inflight_.at(id);
+    for (const auto& [id, slot] : parents) {
+        const Outstanding& out = slots_[slot];
         blobWriteRequest(inflight_blob, out.logical);
         inflight_blob.i64(out.remaining);
         inflight_blob.u8(out.reported ? 1 : 0);
@@ -439,8 +523,11 @@ StorageSystem::saveState(snap::StateWriter& w) const
     w.u64("inflight", inflight_.size());
     w.bytes("inflight_blob", inflight_blob.take());
 
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> subs(
-        sub_to_parent_.begin(), sub_to_parent_.end());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> subs;
+    subs.reserve(sub_to_parent_.size());
+    sub_to_parent_.forEach([&](std::uint64_t sub_id, std::uint32_t slot) {
+        subs.emplace_back(sub_id, slots_[slot].logical.id);
+    });
     std::sort(subs.begin(), subs.end());
     snap::BlobWriter sub_blob;
     for (const auto& [sub_id, parent_id] : subs) {
@@ -476,17 +563,19 @@ StorageSystem::loadState(snap::StateReader& r)
     snap::BlobReader inflight_blob(
         "section '" + r.section() + "' in-flight table", inflight_raw);
     inflight_.clear();
+    slots_.clear();
+    free_slots_.clear();
     for (std::uint64_t i = 0; i < inflight_count; ++i) {
-        Outstanding out;
-        out.logical = blobReadRequest(inflight_blob);
+        const IoRequest logical = blobReadRequest(inflight_blob);
+        HDDTHERM_REQUIRE(!inflight_.find(logical.id),
+                         "checkpoint section '" + r.section() +
+                             "': duplicate in-flight request id");
+        Outstanding& out = slots_[acquireSlot(logical, false)];
         out.remaining = int(inflight_blob.i64());
         out.reported = inflight_blob.u8() != 0;
         const auto phase2 = inflight_blob.u64();
-        out.phase2.reserve(phase2);
         for (std::uint64_t p = 0; p < phase2; ++p)
             out.phase2.push_back(blobReadRequest(inflight_blob));
-        const auto id = out.logical.id;
-        inflight_.emplace(id, std::move(out));
     }
     HDDTHERM_REQUIRE(inflight_blob.atEnd(),
                      "checkpoint section '" + r.section() +
@@ -500,7 +589,12 @@ StorageSystem::loadState(snap::StateReader& r)
     for (std::uint64_t i = 0; i < sub_count; ++i) {
         const auto sub_id = sub_blob.u64();
         const auto parent_id = sub_blob.u64();
-        sub_to_parent_.emplace(sub_id, parent_id);
+        const std::uint32_t* slot = inflight_.find(parent_id);
+        HDDTHERM_REQUIRE(slot != nullptr && !sub_to_parent_.find(sub_id),
+                         "checkpoint section '" + r.section() +
+                             "': sub-request table does not match the "
+                             "in-flight table");
+        sub_to_parent_.insert(sub_id, *slot);
     }
     HDDTHERM_REQUIRE(sub_blob.atEnd(),
                      "checkpoint section '" + r.section() +

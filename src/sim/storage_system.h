@@ -13,12 +13,12 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/disk.h"
 #include "sim/metrics.h"
 #include "sim/raid.h"
+#include "util/flat_map.h"
 
 namespace hddtherm::sim {
 
@@ -74,7 +74,20 @@ class StorageSystem
      */
     void submit(const IoRequest& request);
 
-    /// Submit a whole workload, run to completion, and return the metrics.
+    /**
+     * Replay a whole workload to completion and return the metrics.
+     *
+     * Equivalent to submit()ting every request in order and then
+     * runAll(), bit for bit, but only one arrival is pending at a time:
+     * every request is validated up front (a bad one throws before any
+     * event fires), the kernel reserves one sequence number per request,
+     * and each arrival, when it fires, schedules the next one (in
+     * (arrival, index) order) under the number eager submission would
+     * have given it.  The kernel refuses to checkpoint while the feed is
+     * still active.  If run() throws, the arrivals not yet fired stay
+     * pending (from a copy of the trace), as submitted events would, and
+     * run() refuses to start again until they have fired.
+     */
     ResponseMetrics run(const std::vector<IoRequest>& workload);
 
     /// Drain all pending events.
@@ -88,6 +101,9 @@ class StorageSystem
 
     /// Requests accepted but not yet completed.
     std::size_t inflight() const { return inflight_.size(); }
+
+    /// True while run() still holds arrivals it has not scheduled.
+    bool feeding() const { return feed_next_ < feed_order_.size(); }
 
     /// Configuration in force.
     const SystemConfig& config() const { return config_; }
@@ -140,6 +156,8 @@ class StorageSystem
     /// @}
 
   private:
+    /// A logical request in flight.  Records live in a slab and are
+    /// recycled, so the phase-2 list keeps its capacity across requests.
     struct Outstanding
     {
         IoRequest logical;
@@ -148,12 +166,14 @@ class StorageSystem
         std::vector<IoRequest> phase2; ///< RMW writes awaiting phase 1.
     };
 
+    void validate(const IoRequest& request) const;
+    void feedNext();
     void dispatch(const IoRequest& request);
     int pickMirror() const;
-    void issueSub(std::uint64_t parent_id, int disk_index,
-                  const IoRequest& sub);
+    std::uint32_t acquireSlot(const IoRequest& logical, bool reported);
+    void issueSub(std::uint32_t slot, int disk_index, const IoRequest& sub);
     void onSubComplete(const IoRequest& sub, SimTime finish);
-    void completeLogical(Outstanding& out, SimTime finish);
+    void completeLogical(const Outstanding& out, SimTime finish);
 
     SystemConfig config_;
     EventQueue events_;
@@ -162,9 +182,27 @@ class StorageSystem
     ResponseMetrics metrics_;
     CompletionCallback callback_;
 
-    std::unordered_map<std::uint64_t, Outstanding> inflight_;
-    std::unordered_map<std::uint64_t, std::uint64_t> sub_to_parent_;
+    std::vector<Outstanding> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    util::FlatU64Map<std::uint32_t> inflight_;      ///< logical id -> slot
+    util::FlatU64Map<std::uint32_t> sub_to_parent_; ///< sub id -> slot
     std::uint64_t next_sub_id_ = 1;
+
+    /// run()'s arrival feed: the trace (the caller's own, or feed_copy_
+    /// once run() has exited by exception with arrivals still pending),
+    /// its fire order, the sequence number reserved for index 0, the next
+    /// position of feed_order_ to schedule, and the arrivals not yet fired.
+    const std::vector<IoRequest>* feed_ = nullptr;
+    std::vector<IoRequest> feed_copy_;
+    std::vector<std::uint32_t> feed_order_;
+    std::uint64_t feed_base_ = 0;
+    std::size_t feed_next_ = 0;
+    std::size_t feed_live_ = 0;
+
+    /// dispatch() scratch, reused so striping allocates nothing.
+    std::vector<StripeTarget> targets_;
+    std::vector<IoRequest> phase1_;
+
     int preferred_mirror_ = -1;
     mutable int mirror_rr_ = 0; ///< Round-robin tiebreaker for reads.
     int failed_ = -1;           ///< Failed member (-1 = healthy).

@@ -11,9 +11,11 @@
 
 #include "engine/kernel.h"
 #include "engine/trace.h"
+#include "snap/state.h"
 #include "util/error.h"
 
 namespace he = hddtherm::engine;
+namespace hsnap = hddtherm::snap;
 namespace hu = hddtherm::util;
 
 TEST(SimKernel, TimeTiesBreakByInsertionSequence)
@@ -290,4 +292,52 @@ TEST(SimKernel, RunUntilAdvancesClockPastDrainedQueue)
     k.runUntil(10.0);
     EXPECT_EQ(fired, 1);
     EXPECT_DOUBLE_EQ(k.now(), 10.0);
+}
+
+TEST(SimKernel, ReservedSequencesSortWhereTheyWereReserved)
+{
+    // Events scheduled later under reserved numbers tie-break as if they
+    // had been scheduled at reservation time: ahead of anything
+    // scheduled after the reservation, behind anything before it.
+    he::SimKernel k;
+    std::vector<std::string> order;
+    k.schedule(1.0, [&] { order.push_back("before"); });
+    const auto base = k.reserveSequences(2);
+    EXPECT_EQ(k.reservedPending(), 2u);
+    k.schedule(1.0, [&] { order.push_back("after"); });
+    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base + 1, {},
+                       [&] { order.push_back("reserved+1"); });
+    k.schedule(0.5, [&] {
+        k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base, {},
+                           [&] { order.push_back("reserved+0"); });
+    });
+    k.runAll();
+    EXPECT_EQ(k.reservedPending(), 0u);
+    EXPECT_EQ(order, (std::vector<std::string>{"before", "reserved+0",
+                                               "reserved+1", "after"}));
+}
+
+TEST(SimKernel, ScheduleReservedRejectsUnreservedNumbers)
+{
+    he::SimKernel k;
+    EXPECT_THROW(k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, 0,
+                                    {}, [] {}),
+                 hu::ModelError);
+    k.schedule(1.0, [] {});
+    EXPECT_THROW(k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, 5,
+                                    {}, [] {}),
+                 hu::ModelError);
+}
+
+TEST(SimKernel, SaveRefusesWhileReservationsAreUnscheduled)
+{
+    he::SimKernel k;
+    k.enableSnapshots(true);
+    const auto base = k.reserveSequences(1);
+    hsnap::StateWriter early("engine.kernel");
+    EXPECT_THROW(k.saveState(early), hu::ModelError);
+    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base, {},
+                       [] {});
+    hsnap::StateWriter later("engine.kernel");
+    EXPECT_NO_THROW(k.saveState(later));
 }

@@ -53,6 +53,44 @@ TEST(Scheduler, SstfBreaksTiesByArrival)
     EXPECT_EQ(s.pop(100).request.id, 1u); // equal distance, first wins
 }
 
+TEST(Scheduler, MiddleRemovalKeepsArrivalOrderOfTheRest)
+{
+    // Taking a request from the middle of the queue must leave the
+    // others in arrival order, or later ties resolve differently.
+    for (const auto policy :
+         {hs::SchedulerPolicy::Sstf, hs::SchedulerPolicy::Elevator}) {
+        SCOPED_TRACE(hs::schedulerPolicyName(policy));
+        hs::Scheduler s(policy);
+        s.push(req(1), 100);
+        s.push(req(2), 0);
+        s.push(req(3), 50);
+        s.push(req(4), 50);
+        EXPECT_EQ(s.pop(0).request.id, 2u);
+        EXPECT_EQ(s.pop(0).request.id, 3u);
+        EXPECT_EQ(s.pop(50).request.id, 4u);
+        EXPECT_EQ(s.pop(50).request.id, 1u);
+        EXPECT_TRUE(s.empty());
+    }
+}
+
+TEST(Scheduler, LongFcfsStreamKeepsOrderAcrossChunkReuse)
+{
+    // A queue that never drains keeps recycling its storage chunks from
+    // the front to the back; the arrival order must survive every reuse.
+    hs::Scheduler s(hs::SchedulerPolicy::Fcfs);
+    std::uint64_t next_in = 1;
+    std::uint64_t next_out = 1;
+    for (int round = 0; round < 1000; ++round) {
+        s.push(req(next_in++), round % 7);
+        s.push(req(next_in++), round % 5);
+        EXPECT_EQ(s.pop(0).request.id, next_out++);
+    }
+    EXPECT_EQ(s.size(), 1000u);
+    while (!s.empty())
+        EXPECT_EQ(s.pop(0).request.id, next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(Scheduler, ElevatorSweepsUpThenDown)
 {
     hs::Scheduler s(hs::SchedulerPolicy::Elevator);
