@@ -2,14 +2,14 @@
  * @file
  * SimKernel dispatch-overhead benchmark (the refactor's perf gate).
  *
- * The engine::SimKernel replaced the seed's (time, seq)-ordered
- * sim::EventQueue under every time loop, adding per-event priority
+ * The engine::SimKernel replaced the seed's (time, seq)-ordered storage
+ * event queue under every time loop, adding per-event priority
  * tie-breaking, a domain tag, and a trace hook.  This harness prices
  * that generalization on a pure event-churn workload — a ring of
  * self-rescheduling actors with LCG-drawn delays, no storage or thermal
  * physics — where kernel bookkeeping is all that runs:
  *
- *   legacy       a local replica of the pre-refactor EventQueue
+ *   legacy       a local replica of the pre-refactor event queue
  *   kernel       SimKernel, no trace sink (the production default)
  *   kernel+ring  SimKernel streaming into a RingBufferTraceSink
  *
@@ -42,7 +42,7 @@ using namespace hddtherm;
 namespace {
 
 /**
- * The pre-refactor sim::EventQueue, replicated verbatim (same REQUIRE
+ * The pre-refactor storage event queue, replicated verbatim (same REQUIRE
  * guard, same copy-out-before-pop dispatch): a binary heap of
  * (when, seq, callback) with insertion-sequence tie-breaking.  Kept
  * local to the benchmark so the baseline survives the refactor it

@@ -10,12 +10,12 @@
 #include <benchmark/benchmark.h>
 
 #include "dtm/governor.h"
+#include "engine/kernel.h"
 #include "hdd/capacity.h"
 #include "hdd/drive_catalog.h"
 #include "harness/bench.h"
 #include "sim/cache.h"
 #include "sim/disk.h"
-#include "sim/event.h"
 #include "sim/raid.h"
 #include "thermal/drive_thermal.h"
 #include "thermal/envelope.h"
@@ -101,7 +101,7 @@ void
 BM_EventQueueThroughput(benchmark::State& state)
 {
     for (auto _ : state) {
-        sim::EventQueue q;
+        engine::SimKernel q;
         int fired = 0;
         for (int i = 0; i < 1000; ++i)
             q.schedule(double(i % 97), [&fired] { ++fired; });
@@ -142,7 +142,7 @@ BENCHMARK(BM_Raid5Striping);
 void
 BM_DiskServiceRandomReads(benchmark::State& state)
 {
-    sim::EventQueue events;
+    engine::SimKernel events;
     sim::DiskConfig cfg;
     cfg.tech = {400e3, 30e3};
     sim::SimDisk disk(events, cfg);

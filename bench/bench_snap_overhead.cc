@@ -26,11 +26,20 @@
  * 4x; the throttled run is the workload the feature is priced for, and
  * the one where checkpoint I/O actually hurts.)
  *
+ * Beside the best pair it reports what the best pair hides: the median
+ * and interquartile range of the per-rep paired ratios, and each
+ * variant's median process-CPU seconds, both taken from process-CPU
+ * time (every thread of the process, the checkpoint writer's included),
+ * so a failing gate can be told apart from a noisy host.  They are
+ * reported only; the gate stays on the best pair.
+ *
  * One JSON object per variant on stdout, a summary in BENCH_snap.json.
  *
  * Usage: bench_snap_overhead [--requests N] [--every SEC] [--reps N]
  *                            [--out file.json] [--csv dir]
  */
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -73,12 +82,29 @@ struct Sample
     dtm::CoSimResult result;
 };
 
-/// One timed end-to-end co-simulation; folds the rate into @p best.
+/// Process-CPU seconds consumed so far (all threads).
 double
+processCpuSec()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
+}
+
+/// One timed run: wall-clock throughput and process-CPU seconds.
+struct Timing
+{
+    double rate = 0.0;
+    double cpu_sec = 0.0;
+};
+
+/// One timed end-to-end co-simulation; folds the rate into @p best.
+Timing
 measureOnce(const dtm::CoSimConfig& cfg,
             const std::vector<sim::IoRequest>& trace,
             const snap::CheckpointPolicy* checkpoints, Sample& best)
 {
+    const double c0 = processCpuSec();
     const auto t0 = std::chrono::steady_clock::now();
     dtm::CoSimEngine engine(cfg);
     if (checkpoints)
@@ -86,12 +112,36 @@ measureOnce(const dtm::CoSimConfig& cfg,
     engine.start(trace);
     engine.advanceToCompletion();
     const auto t1 = std::chrono::steady_clock::now();
+    const double c1 = processCpuSec();
     const double sec = std::chrono::duration<double>(t1 - t0).count();
     const double rate = sec > 0.0 ? double(trace.size()) / sec : 0.0;
     if (rate > best.requests_per_sec)
         best.requests_per_sec = rate;
     best.result = engine.result();
-    return rate;
+    return {rate, c1 - c0};
+}
+
+/// Quartiles (linear interpolation) of a sample.
+struct Quartiles
+{
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+
+Quartiles
+quartiles(std::vector<double> v)
+{
+    if (v.empty())
+        return {};
+    std::sort(v.begin(), v.end());
+    const auto at = [&v](double q) {
+        const double pos = q * double(v.size() - 1);
+        const auto lo = std::size_t(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 struct SizeStats
@@ -211,21 +261,37 @@ main(int argc, char** argv)
     }
 
     // Reps interleave bare, full-checkpointed, and delta-checkpointed
-    // runs; the gates use the best back-to-back pairs.
+    // runs; the gates use the best back-to-back pairs.  Each rep's
+    // process-CPU pair ratios (bare CPU over variant CPU, a throughput
+    // ratio like the gate's) feed the reported median and IQR.
     Sample bare;
     Sample ckpt;
     Sample delta;
     double best_ratio = 0.0;
     double best_delta_ratio = 0.0;
+    std::vector<double> bare_cpu, ckpt_cpu, delta_cpu;
+    std::vector<double> cpu_ratios, delta_cpu_ratios;
     for (int r = 0; r < reps; ++r) {
-        const double br = measureOnce(cfg, trace, nullptr, bare);
-        const double cr = measureOnce(cfg, trace, &policy, ckpt);
-        const double dr = measureOnce(cfg, trace, &delta_policy, delta);
-        if (br > 0.0) {
-            best_ratio = std::max(best_ratio, cr / br);
-            best_delta_ratio = std::max(best_delta_ratio, dr / br);
+        const Timing b = measureOnce(cfg, trace, nullptr, bare);
+        const Timing c = measureOnce(cfg, trace, &policy, ckpt);
+        const Timing d = measureOnce(cfg, trace, &delta_policy, delta);
+        if (b.rate > 0.0) {
+            best_ratio = std::max(best_ratio, c.rate / b.rate);
+            best_delta_ratio = std::max(best_delta_ratio, d.rate / b.rate);
+        }
+        bare_cpu.push_back(b.cpu_sec);
+        ckpt_cpu.push_back(c.cpu_sec);
+        delta_cpu.push_back(d.cpu_sec);
+        if (c.cpu_sec > 0.0 && d.cpu_sec > 0.0) {
+            cpu_ratios.push_back(b.cpu_sec / c.cpu_sec);
+            delta_cpu_ratios.push_back(b.cpu_sec / d.cpu_sec);
         }
     }
+    const Quartiles ratio_q = quartiles(cpu_ratios);
+    const Quartiles delta_ratio_q = quartiles(delta_cpu_ratios);
+    const double bare_cpu_sec = quartiles(bare_cpu).median;
+    const double ckpt_cpu_sec = quartiles(ckpt_cpu).median;
+    const double delta_cpu_sec = quartiles(delta_cpu).median;
     const std::uint64_t checkpoints_written =
         ckpt.result.simulatedSec > 0.0
             ? std::uint64_t(ckpt.result.simulatedSec / every_sec)
@@ -267,18 +333,24 @@ main(int argc, char** argv)
             ? delta_sizes.delta_mean_bytes / full_sizes.full_mean_bytes
             : 1.0;
 
-    std::printf("{\"variant\": \"bare\", \"requests_per_sec\": %.0f}\n",
-                bare.requests_per_sec);
+    std::printf("{\"variant\": \"bare\", \"requests_per_sec\": %.0f, "
+                "\"cpu_s\": %.4f}\n",
+                bare.requests_per_sec, bare_cpu_sec);
     std::printf("{\"variant\": \"checkpointed\", "
                 "\"requests_per_sec\": %.0f, \"vs_bare\": %.3f, "
-                "\"checkpoints\": %llu}\n",
-                ckpt.requests_per_sec, best_ratio,
+                "\"cpu_s\": %.4f, \"cpu_ratio_median\": %.3f, "
+                "\"cpu_ratio_iqr\": [%.3f, %.3f], \"checkpoints\": %llu}\n",
+                ckpt.requests_per_sec, best_ratio, ckpt_cpu_sec,
+                ratio_q.median, ratio_q.q1, ratio_q.q3,
                 static_cast<unsigned long long>(checkpoints_written));
     std::printf("{\"variant\": \"delta_compressed\", "
                 "\"requests_per_sec\": %.0f, \"vs_bare\": %.3f, "
+                "\"cpu_s\": %.4f, \"cpu_ratio_median\": %.3f, "
+                "\"cpu_ratio_iqr\": [%.3f, %.3f], "
                 "\"full_mean_bytes\": %.0f, \"delta_mean_bytes\": %.0f, "
                 "\"delta_size_ratio\": %.3f}\n",
-                delta.requests_per_sec, best_delta_ratio,
+                delta.requests_per_sec, best_delta_ratio, delta_cpu_sec,
+                delta_ratio_q.median, delta_ratio_q.q1, delta_ratio_q.q3,
                 full_sizes.full_mean_bytes, delta_sizes.delta_mean_bytes,
                 size_ratio);
 
@@ -336,6 +408,13 @@ main(int argc, char** argv)
                 "  \"delta_requests_per_sec\": %.0f,\n"
                 "  \"best_paired_ratio\": %.3f,\n"
                 "  \"delta_best_paired_ratio\": %.3f,\n"
+                "  \"bare_cpu_s\": %.4f,\n"
+                "  \"checkpointed_cpu_s\": %.4f,\n"
+                "  \"delta_cpu_s\": %.4f,\n"
+                "  \"cpu_ratio_median\": %.3f,\n"
+                "  \"cpu_ratio_iqr\": [%.3f, %.3f],\n"
+                "  \"delta_cpu_ratio_median\": %.3f,\n"
+                "  \"delta_cpu_ratio_iqr\": [%.3f, %.3f],\n"
                 "  \"checkpoints_per_run\": %llu,\n"
                 "  \"full_checkpoint_mean_bytes\": %.0f,\n"
                 "  \"delta_checkpoint_mean_bytes\": %.0f,\n"
@@ -343,7 +422,9 @@ main(int argc, char** argv)
                 "  \"results_identical\": %s,\n  \"pass\": %s\n}\n",
                 requests, every_sec, bare.requests_per_sec,
                 ckpt.requests_per_sec, delta.requests_per_sec, best_ratio,
-                best_delta_ratio,
+                best_delta_ratio, bare_cpu_sec, ckpt_cpu_sec, delta_cpu_sec,
+                ratio_q.median, ratio_q.q1, ratio_q.q3,
+                delta_ratio_q.median, delta_ratio_q.q1, delta_ratio_q.q3,
                 static_cast<unsigned long long>(checkpoints_written),
                 full_sizes.full_mean_bytes, delta_sizes.delta_mean_bytes,
                 size_ratio,

@@ -137,6 +137,12 @@ CoSimEngine::CoSimEngine(const CoSimConfig& config)
     }
     if (!config_.faults.empty())
         fault_player_.emplace(config_.faults);
+    // Both periodic tasks are registered up front, so a checkpoint
+    // restores them by kind.
+    system_.events().registerTask(snap::kTaskDtmTick,
+                                  [this]() { return tick(); });
+    system_.events().registerTask(snap::kTaskDtmCheckpoint,
+                                  [this]() { return checkpointTick(); });
 }
 
 void
@@ -171,8 +177,7 @@ CoSimEngine::start(const std::vector<sim::IoRequest>& workload)
     // storage domain's request events on the one shared clock.
     system_.events().schedulePeriodic(thermal_domain_,
                                       config_.controlIntervalSec,
-                                      "dtm.tick",
-                                      [this]() { return tick(); });
+                                      snap::kTaskDtmTick);
     // The checkpoint task is armed after the control loop, at the SAME
     // period: at every coincident timestamp it fires second (the
     // sequence number breaks the tie), captures the post-tick state, and
@@ -180,16 +185,16 @@ CoSimEngine::start(const std::vector<sim::IoRequest>& workload)
     // advances the clock past the bare run's horizon.  Its own counter
     // decides which firings actually write (see checkpointTick).
     if (ckpt_mgr_) {
-        system_.events().schedulePeriodic(
-            thermal_domain_, config_.controlIntervalSec,
-            "snap.checkpoint", [this]() { return checkpointTick(); });
+        system_.events().schedulePeriodic(thermal_domain_,
+                                          config_.controlIntervalSec,
+                                          snap::kTaskDtmCheckpoint);
     }
 }
 
 bool
 CoSimEngine::tick()
 {
-    const sim::SimTime now = system_.events().now();
+    const engine::SimTime now = system_.events().now();
     const double dt = now - last_tick_;
     last_tick_ = now;
 
@@ -358,7 +363,7 @@ CoSimEngine::enterFailSafeFloor()
 }
 
 void
-CoSimEngine::advanceTo(sim::SimTime t)
+CoSimEngine::advanceTo(engine::SimTime t)
 {
     HDDTHERM_REQUIRE(started_, "CoSimEngine::advanceTo before start");
     system_.events().runUntil(t);
@@ -423,14 +428,6 @@ CoSimEngine::result() const
 }
 
 void
-CoSimEngine::enableSnapshots()
-{
-    HDDTHERM_REQUIRE(!started_,
-                     "enable snapshots before CoSimEngine::start");
-    system_.events().enableSnapshots(true);
-}
-
-void
 CoSimEngine::enableCheckpoints(const snap::CheckpointPolicy& policy)
 {
     HDDTHERM_REQUIRE(!started_,
@@ -438,7 +435,6 @@ CoSimEngine::enableCheckpoints(const snap::CheckpointPolicy& policy)
     HDDTHERM_REQUIRE(policy.everySec > 0.0,
                      "standalone checkpoint cadence is everySec "
                      "(everyEpochs is a fleet concept)");
-    enableSnapshots();
     ckpt_mgr_.emplace(policy);
     // The cadence is quantized to control ticks: the checkpoint task
     // fires in lockstep with the control loop (see checkpointTick).
@@ -455,10 +451,6 @@ CoSimEngine::saveSections(snap::CheckpointWriter& out,
     HDDTHERM_REQUIRE(started_,
                      "CoSimEngine::saveSections before start: nothing "
                      "is in flight yet");
-    HDDTHERM_REQUIRE(system_.events().snapshotsEnabled(),
-                     "CoSimEngine::saveSections needs enableSnapshots() "
-                     "or enableCheckpoints() before start: this engine "
-                     "kept no snapshot state");
     {
         snap::StateWriter w(prefix + "dtm.cosim");
         w.u64("workload_size", workload_size_);
@@ -519,7 +511,6 @@ CoSimEngine::loadSections(const snap::CheckpointReader& in,
     HDDTHERM_REQUIRE(!started_,
                      "CoSimEngine::loadSections needs a freshly "
                      "constructed engine");
-    system_.events().enableSnapshots(true);
     {
         auto r = in.section(prefix + "dtm.cosim");
         workload_size_ = r.u64("workload_size");
@@ -595,19 +586,7 @@ CoSimEngine::loadSections(const snap::CheckpointReader& in,
     });
     {
         auto r = in.section(prefix + "engine.kernel");
-        system_.events().loadState(
-            r,
-            [this](const snap::EventTag& tag) {
-                return system_.restoreEvent(tag);
-            },
-            [this](const std::string& name)
-                -> engine::SimKernel::PeriodicCallback {
-                if (name == "dtm.tick")
-                    return [this]() { return tick(); };
-                if (name == "snap.checkpoint")
-                    return [this]() { return checkpointTick(); };
-                return nullptr;
-            });
+        system_.events().loadState(r);
     }
 }
 
@@ -684,7 +663,9 @@ CoSimEngine::checkpointTick()
 std::string
 checkpointDescription(const CoSimConfig& config)
 {
-    std::string d = "cosim-v1";
+    // v2: kernel events are saved as records, arrivals in the
+    // controller's table; v1 checkpoints are refused by the hash.
+    std::string d = "cosim-v2";
     appendf(d, "|policy=%s", dtmPolicyName(config.policy));
     appendf(d, "|envelope=%.17g", config.envelopeC);
     appendf(d, "|gate=%.17g|resume=%.17g", config.gateThresholdC,

@@ -155,7 +155,7 @@ class CoSimEngine
 
     /// Run events up to simulated time @p t (the clock advances to @p t
     /// even if the queue drains early).
-    void advanceTo(sim::SimTime t);
+    void advanceTo(engine::SimTime t);
 
     /// Drain every pending event (classic run-to-completion).
     void advanceToCompletion();
@@ -164,7 +164,7 @@ class CoSimEngine
     bool finished() const;
 
     /// Current simulated time, seconds.
-    sim::SimTime now() const { return system_.events().now(); }
+    engine::SimTime now() const { return system_.events().now(); }
 
     /// Current internal drive air temperature, °C.
     double airTempC() const { return model_.airTempC(); }
@@ -213,18 +213,10 @@ class CoSimEngine
     /// @{
 
     /**
-     * Turn on the kernel's snapshot bookkeeping so an external
-     * coordinator (the fleet) can capture this engine's state with
-     * saveSections().  Must be called before start().
-     */
-    void enableSnapshots();
-
-    /**
      * Standalone checkpointing: every policy.everySec simulated seconds
      * a crash-consistent checkpoint of the whole engine is written to
      * policy.directory (policy.everyEpochs is a fleet cadence and must
-     * be zero here).  Must be called before start(); implies
-     * enableSnapshots().
+     * be zero here).  Must be called before start().
      */
     void enableCheckpoints(const snap::CheckpointPolicy& policy);
 
@@ -233,9 +225,8 @@ class CoSimEngine
      * "<prefix>dtm.cosim", "<prefix>sim.system", "<prefix>thermal.model",
      * "<prefix>fault.player" (faulted runs only) and — last —
      * "<prefix>engine.kernel".  The fleet passes "bay.<i>/" prefixes;
-     * standalone checkpoints use the empty prefix.  Requires start() on
-     * an engine with snapshots enabled (enableSnapshots() or
-     * enableCheckpoints()); throws util::ModelError otherwise.
+     * standalone checkpoints use the empty prefix.  Requires start();
+     * throws util::ModelError before it.
      */
     void saveSections(snap::CheckpointWriter& out,
                       const std::string& prefix = {}) const;
@@ -277,7 +268,7 @@ class CoSimEngine
     /// One control tick; returns true while the periodic task should
     /// keep firing (workload unfinished and safety cap not reached).
     bool tick();
-    /// Periodic "snap.checkpoint" task body.  Fires at every control
+    /// Body of the kTaskDtmCheckpoint periodic task.  Fires at every control
     /// interval in lockstep with tick() (writing only every
     /// ckpt_every_ticks_ firings) and mirrors tick()'s stop condition,
     /// so it dies at the same timestamp as the control loop and a
@@ -327,7 +318,7 @@ class CoSimEngine
     double duty_weighted_ = 0.0;
     double duty_ewma_ = 0.0;
     double temp_integral_ = 0.0;
-    sim::SimTime last_tick_ = 0.0;
+    engine::SimTime last_tick_ = 0.0;
     std::optional<snap::CheckpointManager> ckpt_mgr_;
     std::uint64_t ckpt_index_ = 0;
     /// Checkpoint cadence in control ticks (everySec quantized).

@@ -78,10 +78,10 @@ MirrorDtmSimulation::run(const std::vector<sim::IoRequest>& workload)
         system.setPreferredMirror(preferred);
 
     std::vector<double> last_seek(std::size_t(members), 0.0);
-    sim::SimTime last_tick = 0.0;
+    engine::SimTime last_tick = 0.0;
 
     std::function<void()> tick = [&]() {
-        const sim::SimTime now = system.events().now();
+        const engine::SimTime now = system.events().now();
         const double dt = now - last_tick;
         last_tick = now;
 

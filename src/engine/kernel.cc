@@ -1,5 +1,6 @@
 #include "engine/kernel.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "snap/state.h"
@@ -65,18 +66,78 @@ SimKernel::domainPriority(DomainId id) const
 }
 
 void
-SimKernel::schedule(SimTime when, DomainId domain, Callback cb)
+SimKernel::registerHandler(std::uint32_t kind, std::uint32_t aux,
+                           Handler fire, PayloadCheck check)
 {
-    scheduleImpl(when, domain, next_seq_, nullptr, std::move(cb));
-    ++next_seq_;
+    HDDTHERM_REQUIRE(kind != snap::kEvtClosure &&
+                         kind != snap::kEvtPeriodic,
+                     "the closure and periodic event kinds are built in");
+    HDDTHERM_REQUIRE(bool(fire), "missing event handler");
+    if (handlers_.size() <= kind)
+        handlers_.resize(std::size_t(kind) + 1);
+    auto& units = handlers_[kind];
+    if (units.size() <= aux)
+        units.resize(std::size_t(aux) + 1);
+    HDDTHERM_REQUIRE(!units[aux].fire,
+                     "event kind " + std::to_string(kind) + " already has "
+                     "a handler for component " + std::to_string(aux));
+    units[aux] = {std::move(fire), std::move(check)};
 }
 
 void
-SimKernel::schedule(SimTime when, DomainId domain,
-                    const snap::EventTag& tag, Callback cb)
+SimKernel::registerTask(std::uint32_t kind, PeriodicCallback cb)
 {
-    scheduleImpl(when, domain, next_seq_, &tag, std::move(cb));
-    ++next_seq_;
+    HDDTHERM_REQUIRE(kind != snap::kTaskClosure,
+                     "the closure task kind is built in");
+    HDDTHERM_REQUIRE(bool(cb), "missing periodic callback");
+    if (task_kinds_.size() <= kind)
+        task_kinds_.resize(std::size_t(kind) + 1);
+    HDDTHERM_REQUIRE(!task_kinds_[kind], "periodic-task kind " +
+                                             std::to_string(kind) +
+                                             " registered twice");
+    task_kinds_[kind] = std::move(cb);
+}
+
+bool
+SimKernel::hasHandler(std::uint32_t kind, std::uint32_t aux) const
+{
+    return kind < handlers_.size() && aux < handlers_[kind].size() &&
+           bool(handlers_[kind][aux].fire);
+}
+
+void
+SimKernel::checkSchedule(SimTime when, DomainId domain) const
+{
+    HDDTHERM_REQUIRE(when >= now_, "cannot schedule into the past");
+    HDDTHERM_REQUIRE(domain >= 0 && domain < domainCount(),
+                     "unknown domain id");
+}
+
+void
+SimKernel::schedule(SimTime when, DomainId domain, Callback cb)
+{
+    checkSchedule(when, domain);
+    std::uint32_t slot;
+    if (free_closures_.empty()) {
+        slot = std::uint32_t(closures_.size());
+        closures_.push_back(std::move(cb));
+    } else {
+        slot = free_closures_.back();
+        free_closures_.pop_back();
+        closures_[slot] = std::move(cb);
+    }
+    push(when, domain, next_seq_++, snap::kEvtClosure, 0, slot);
+}
+
+void
+SimKernel::schedule(SimTime when, DomainId domain, std::uint32_t kind,
+                    std::uint32_t aux, std::uint64_t payload)
+{
+    checkSchedule(when, domain);
+    HDDTHERM_REQUIRE(hasHandler(kind, aux),
+                     "no handler registered for event kind " +
+                         std::to_string(kind));
+    push(when, domain, next_seq_++, kind, aux, payload);
 }
 
 std::uint64_t
@@ -92,38 +153,36 @@ SimKernel::reserveSequences(std::uint64_t n)
 
 void
 SimKernel::scheduleReserved(SimTime when, DomainId domain,
-                            std::uint64_t seq, const snap::EventTag& tag,
-                            Callback cb)
+                            std::uint64_t seq, std::uint32_t kind,
+                            std::uint32_t aux, std::uint64_t payload)
 {
     HDDTHERM_REQUIRE(seq < next_seq_ && reserved_pending_ > 0,
                      "sequence number was not reserved");
-    scheduleImpl(when, domain, seq, &tag, std::move(cb));
+    checkSchedule(when, domain);
+    HDDTHERM_REQUIRE(hasHandler(kind, aux),
+                     "no handler registered for event kind " +
+                         std::to_string(kind));
+    push(when, domain, seq, kind, aux, payload);
     --reserved_pending_;
 }
 
 void
-SimKernel::scheduleImpl(SimTime when, DomainId domain, std::uint64_t seq,
-                        const snap::EventTag* tag, Callback cb)
+SimKernel::push(SimTime when, DomainId domain, std::uint64_t seq,
+                std::uint32_t kind, std::uint32_t aux,
+                std::uint64_t payload)
 {
-    HDDTHERM_REQUIRE(when >= now_, "cannot schedule into the past");
-    HDDTHERM_REQUIRE(domain >= 0 && domain < domainCount(),
-                     "unknown domain id");
     // 2^32 events per kernel instance is far beyond any simulation here
     // (kernels are per drive / per fleet barrier loop), and the cap
     // fails loudly rather than silently mis-ordering.
     HDDTHERM_ASSERT(seq >> kSeqBits == 0);
-    Event ev{when,
-             domains_[std::size_t(domain)].key_base | (seq << kDomainBits),
-             std::move(cb)};
-    if (snapshots_) {
-        if (tag)
-            tags_.insert(seqOf(ev.key), *tag);
-        else
-            ++untagged_pending_;
-    }
+    const Event ev{when,
+                   domains_[std::size_t(domain)].key_base |
+                       (seq << kDomainBits),
+                   kind, aux, payload};
     if (sink_)
         emit(TraceKind::Scheduled, ev);
-    heap_.push(std::move(ev));
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void
@@ -137,29 +196,33 @@ void
 SimKernel::schedulePeriodic(DomainId domain, SimTime period,
                             PeriodicCallback cb)
 {
-    schedulePeriodic(domain, period, std::string(), std::move(cb));
+    HDDTHERM_REQUIRE(bool(cb), "missing periodic callback");
+    armTask(domain, period, snap::kTaskClosure, std::move(cb));
 }
 
 void
 SimKernel::schedulePeriodic(DomainId domain, SimTime period,
-                            std::string name, PeriodicCallback cb)
+                            std::uint32_t kind)
 {
-    HDDTHERM_REQUIRE(period > 0.0, "period must be positive");
-    HDDTHERM_REQUIRE(bool(cb), "missing periodic callback");
-    HDDTHERM_REQUIRE(!snapshots_ || !name.empty(),
-                     "a snapshot-enabled kernel requires named periodic "
-                     "tasks");
-    periodic_.push_back({domain, period, std::move(cb), std::move(name)});
-    const std::size_t index = periodic_.size() - 1;
-    snap::EventTag tag;
-    tag.kind = snap::kEvtPeriodic;
-    tag.aux = std::uint32_t(index);
-    schedule(now_ + period, domain, tag,
-             [this, index] { firePeriodic(index); });
+    HDDTHERM_REQUIRE(kind < task_kinds_.size() && bool(task_kinds_[kind]),
+                     "no periodic task registered under kind " +
+                         std::to_string(kind));
+    armTask(domain, period, kind, task_kinds_[kind]);
 }
 
 void
-SimKernel::firePeriodic(std::size_t index)
+SimKernel::armTask(DomainId domain, SimTime period, std::uint32_t kind,
+                   PeriodicCallback cb)
+{
+    HDDTHERM_REQUIRE(period > 0.0, "period must be positive");
+    checkSchedule(now_ + period, domain);
+    periodic_.push_back({domain, period, kind, std::move(cb)});
+    push(now_ + period, domain, next_seq_++, snap::kEvtPeriodic,
+         std::uint32_t(periodic_.size() - 1), 0);
+}
+
+void
+SimKernel::firePeriodic(std::uint32_t index)
 {
     // The callback may arm further periodic tasks, reallocating the
     // vector mid-call, so the callable is moved out before it runs (an
@@ -176,11 +239,8 @@ SimKernel::firePeriodic(std::size_t index)
     }
     PeriodicTask& task = periodic_[index];
     task.cb = std::move(cb);
-    snap::EventTag tag;
-    tag.kind = snap::kEvtPeriodic;
-    tag.aux = std::uint32_t(index);
-    schedule(now_ + task.period, task.domain, tag,
-             [this, index] { firePeriodic(index); });
+    push(now_ + task.period, task.domain, next_seq_++, snap::kEvtPeriodic,
+         index, 0);
 }
 
 bool
@@ -188,28 +248,35 @@ SimKernel::runNext()
 {
     if (heap_.empty())
         return false;
-    // Move out before pop so the callback may schedule new events.  The
-    // const_cast is the standard priority_queue escape hatch: top() is
-    // const-qualified only to protect the heap order, which pop()
-    // re-establishes immediately.
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event ev = heap_.back();
+    heap_.pop_back();
     now_ = ev.when;
     ++fired_;
-    if (snapshots_) {
-        if (!tags_.erase(seqOf(ev.key)))
-            --untagged_pending_;
-    }
     if (sink_)
         emit(TraceKind::Fired, ev);
-    ev.cb();
+    switch (ev.kind) {
+      case snap::kEvtClosure: {
+        // Freed before the call, so the closure may schedule into its
+        // own slot.
+        Callback cb = std::exchange(closures_[ev.payload], nullptr);
+        free_closures_.push_back(std::uint32_t(ev.payload));
+        cb();
+        break;
+      }
+      case snap::kEvtPeriodic:
+        firePeriodic(ev.aux);
+        break;
+      default:
+        handlers_[ev.kind][ev.aux].fire(ev.payload);
+    }
     return true;
 }
 
 void
 SimKernel::runUntil(SimTime limit)
 {
-    while (!heap_.empty() && heap_.top().when <= limit)
+    while (!heap_.empty() && heap_.front().when <= limit)
         runNext();
     if (now_ < limit)
         now_ = limit;
@@ -223,30 +290,14 @@ SimKernel::runAll()
 }
 
 void
-SimKernel::enableSnapshots(bool on)
-{
-    if (on == snapshots_)
-        return;
-    HDDTHERM_REQUIRE(heap_.empty() && periodic_.empty() &&
-                         reserved_pending_ == 0,
-                     "snapshot bookkeeping must be toggled on an idle "
-                     "kernel (before any event or periodic task exists)");
-    snapshots_ = on;
-    tags_.clear();
-    untagged_pending_ = 0;
-}
-
-void
 SimKernel::saveState(snap::StateWriter& w) const
 {
-    HDDTHERM_REQUIRE(snapshots_,
-                     "cannot save kernel state: snapshots are not enabled "
-                     "on this kernel");
-    HDDTHERM_REQUIRE(untagged_pending_ == 0,
+    const std::size_t closures = closures_.size() - free_closures_.size();
+    HDDTHERM_REQUIRE(closures == 0,
                      "cannot save kernel state: " +
-                         std::to_string(untagged_pending_) +
-                         " pending event(s) were scheduled without a "
-                         "snapshot tag and cannot be reconstructed");
+                         std::to_string(closures) +
+                         " pending event(s) are closures, which a "
+                         "checkpoint cannot rebuild");
     HDDTHERM_REQUIRE(reserved_pending_ == 0,
                      "cannot save kernel state: " +
                          std::to_string(reserved_pending_) +
@@ -278,11 +329,11 @@ SimKernel::saveState(snap::StateWriter& w) const
         // checkpoint writer itself) has its callable moved out for the
         // call, but it is very much alive.
         const bool alive = bool(task.cb) || i == firing_periodic_;
-        HDDTHERM_REQUIRE(!alive || !task.name.empty(),
+        HDDTHERM_REQUIRE(!alive || task.kind != snap::kTaskClosure,
                          "cannot save kernel state: a live periodic task "
-                         "has no name to restore it by");
+                         "is a closure, which a checkpoint cannot rebuild");
         snap::ScopedPrefix scope(w, "task" + std::to_string(i));
-        w.str("name", task.name);
+        w.u64("kind", task.kind);
         w.u64("domain", std::uint64_t(task.domain));
         w.f64("period", task.period);
         w.boolean("alive", alive);
@@ -301,81 +352,74 @@ SimKernel::saveState(snap::StateWriter& w) const
                                     ? std::uint64_t(-1)
                                     : std::uint64_t(firing_periodic_));
 
-    // Draining a copy of the heap yields events in exact fire order, so
-    // identical kernel states serialize to identical bytes regardless of
-    // the heap array's internal layout.
-    w.u64("kernel.events", heap_.size());
+    // Keys are unique, so sorting a copy into fire order serializes
+    // identical kernel states to identical bytes whatever the heap
+    // array's layout.
+    std::vector<Event> events = heap_;
+    std::sort(events.begin(), events.end(),
+              [](const Event& a, const Event& b) { return Later{}(b, a); });
+    w.u64("kernel.events", events.size());
     snap::BlobWriter blob;
-    blob.reserve(heap_.size() * 72);
-    auto copy = heap_;
-    while (!copy.empty()) {
-        const Event& ev = copy.top();
-        const snap::EventTag* tag = tags_.find(seqOf(ev.key));
-        HDDTHERM_ASSERT(tag != nullptr);
+    blob.reserve(events.size() * sizeof(Event));
+    for (const Event& ev : events) {
         blob.f64(ev.when);
         blob.u64(ev.key);
-        blob.u32(tag->kind);
-        blob.u32(tag->aux);
-        blob.words(tag->w.data(), tag->w.size());
-        copy.pop();
+        blob.u32(ev.kind);
+        blob.u32(ev.aux);
+        blob.u64(ev.payload);
     }
     w.bytes("kernel.event_blob", blob.take());
 }
 
 void
-SimKernel::loadState(snap::StateReader& r, const EventResolver& events,
-                     const TaskResolver& tasks)
+SimKernel::loadState(snap::StateReader& r)
 {
-    HDDTHERM_REQUIRE(snapshots_,
-                     "enable snapshots before restoring a kernel");
     HDDTHERM_REQUIRE(heap_.empty() && periodic_.empty() && fired_ == 0,
                      "kernel restore requires a freshly built kernel");
+    const auto where = [&r] {
+        return "checkpoint section '" + r.section() + "': ";
+    };
 
     now_ = r.f64("kernel.now");
     next_seq_ = r.u64("kernel.next_seq");
     fired_ = r.u64("kernel.fired");
+    HDDTHERM_REQUIRE(next_seq_ >> kSeqBits == 0,
+                     where() + "sequence counter out of range");
 
     const auto ndom = r.u64("kernel.domains");
     HDDTHERM_REQUIRE(ndom == domains_.size(),
-                     "checkpoint section '" + r.section() +
-                         "': clock-domain count differs from this run's "
-                         "configuration");
+                     where() + "clock-domain count differs from this "
+                               "run's configuration");
     for (std::size_t i = 0; i < domains_.size(); ++i) {
         snap::ScopedPrefix scope(r, "domain" + std::to_string(i));
         const std::string name = r.str("name");
         const auto priority = r.i64("priority");
         HDDTHERM_REQUIRE(name == domains_[i].name &&
                              priority == domains_[i].priority,
-                         "checkpoint section '" + r.section() +
-                             "': clock domain '" + name +
+                         where() + "clock domain '" + name +
                              "' does not match this run's configuration");
     }
 
     const auto ntask = r.u64("kernel.tasks");
     for (std::size_t i = 0; i < ntask; ++i) {
         snap::ScopedPrefix scope(r, "task" + std::to_string(i));
-        std::string name = r.str("name");
+        const auto kind = r.u64("kind");
         const auto domain = r.u64("domain");
         const double period = r.f64("period");
         const bool alive = r.boolean("alive");
         HDDTHERM_REQUIRE(domain < std::uint64_t(domainCount()),
-                         "checkpoint section '" + r.section() +
-                             "': periodic task references an unknown "
-                             "clock domain");
+                         where() + "periodic task references an unknown "
+                                   "clock domain");
         PeriodicCallback cb;
         if (alive) {
-            HDDTHERM_REQUIRE(bool(tasks),
-                             "checkpoint section '" + r.section() +
-                                 "': no task resolver provided for "
-                                 "periodic task '" + name + "'");
-            cb = tasks(name);
-            HDDTHERM_REQUIRE(bool(cb),
-                             "checkpoint section '" + r.section() +
-                                 "': the task resolver cannot rebuild "
-                                 "periodic task '" + name + "'");
+            HDDTHERM_REQUIRE(kind < task_kinds_.size() &&
+                                 bool(task_kinds_[kind]),
+                             where() + "no periodic task registered under "
+                                       "kind " + std::to_string(kind));
+            cb = task_kinds_[kind];
         }
-        periodic_.push_back(
-            {DomainId(domain), period, std::move(cb), std::move(name)});
+        periodic_.push_back({DomainId(domain), period,
+                             std::uint32_t(kind), std::move(cb)});
     }
 
     const auto firing = r.u64("kernel.firing_task");
@@ -384,59 +428,59 @@ SimKernel::loadState(snap::StateReader& r, const EventResolver& events,
     const auto raw = r.bytes("kernel.event_blob");
     snap::BlobReader blob("section '" + r.section() + "' events", raw);
     for (std::uint64_t e = 0; e < nevents; ++e) {
-        const double when = blob.f64();
-        const std::uint64_t key = blob.u64();
-        snap::EventTag tag;
-        tag.kind = blob.u32();
-        tag.aux = blob.u32();
-        for (auto& word : tag.w)
-            word = blob.u64();
-
-        Callback cb;
-        if (tag.kind == snap::kEvtPeriodic) {
-            const std::size_t index = tag.aux;
-            HDDTHERM_REQUIRE(index < periodic_.size() &&
-                                 bool(periodic_[index].cb),
-                             "checkpoint section '" + r.section() +
-                                 "': pending periodic event references a "
-                                 "dead or missing task");
-            cb = [this, index] { firePeriodic(index); };
+        Event ev;
+        ev.when = blob.f64();
+        ev.key = blob.u64();
+        ev.kind = blob.u32();
+        ev.aux = blob.u32();
+        ev.payload = blob.u64();
+        const std::uint64_t seq_mask = (std::uint64_t(1) << kSeqBits) - 1;
+        const std::uint64_t domain =
+            ev.key & ((std::uint64_t(1) << kDomainBits) - 1);
+        HDDTHERM_REQUIRE(ev.when >= now_ &&
+                             domain < std::uint64_t(domainCount()) &&
+                             (ev.key & ~(seq_mask << kDomainBits)) ==
+                                 domains_[domain].key_base &&
+                             (ev.key >> kDomainBits & seq_mask) < next_seq_,
+                         where() + "pending event has an invalid time or "
+                                   "key");
+        if (ev.kind == snap::kEvtPeriodic) {
+            HDDTHERM_REQUIRE(ev.aux < periodic_.size() &&
+                                 bool(periodic_[ev.aux].cb),
+                             where() + "pending periodic event references "
+                                       "a dead or missing task");
         } else {
-            HDDTHERM_REQUIRE(bool(events),
-                             "checkpoint section '" + r.section() +
-                                 "': no event resolver provided");
-            cb = events(tag);
-            HDDTHERM_REQUIRE(bool(cb),
-                             "checkpoint section '" + r.section() +
-                                 "': the event resolver cannot rebuild "
-                                 "an event of kind " +
-                                 std::to_string(tag.kind));
+            // Closures are never saved, so kEvtClosure has no handler.
+            HDDTHERM_REQUIRE(hasHandler(ev.kind, ev.aux),
+                             where() + "no handler registered for event "
+                                       "kind " + std::to_string(ev.kind) +
+                                       " of component " +
+                                       std::to_string(ev.aux));
+            const PayloadCheck& check = handlers_[ev.kind][ev.aux].check;
+            HDDTHERM_REQUIRE(!check || check(ev.payload),
+                             where() + "event of kind " +
+                                 std::to_string(ev.kind) +
+                                 " carries a payload its handler rejects");
         }
         // Events keep their original keys (sequence numbers included),
         // bypassing schedule(): tie-break order is restored exactly.
-        tags_.insert(seqOf(key), tag);
-        heap_.push(Event{when, key, std::move(cb)});
+        heap_.push_back(ev);
     }
-    HDDTHERM_REQUIRE(blob.atEnd(), "checkpoint section '" + r.section() +
-                                       "' carries trailing event bytes");
+    HDDTHERM_REQUIRE(blob.atEnd(), where() + "trailing event bytes");
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
 
     // The checkpoint was written from inside this task's firing: its
     // re-fire event post-dates the save.  Re-arm it through the normal
     // schedule path, which assigns the same sequence number the
     // uninterrupted run's reschedule did.
     if (firing != std::uint64_t(-1)) {
-        const std::size_t index = std::size_t(firing);
-        HDDTHERM_REQUIRE(index < periodic_.size() &&
-                             bool(periodic_[index].cb),
-                         "checkpoint section '" + r.section() +
-                             "': the mid-firing periodic task is dead or "
-                             "missing");
-        const PeriodicTask& task = periodic_[index];
-        snap::EventTag tag;
-        tag.kind = snap::kEvtPeriodic;
-        tag.aux = std::uint32_t(index);
-        schedule(now_ + task.period, task.domain, tag,
-                 [this, index] { firePeriodic(index); });
+        HDDTHERM_REQUIRE(firing < periodic_.size() &&
+                             bool(periodic_[firing].cb),
+                         where() + "the mid-firing periodic task is dead "
+                                   "or missing");
+        const PeriodicTask& task = periodic_[firing];
+        push(now_ + task.period, task.domain, next_seq_++,
+             snap::kEvtPeriodic, std::uint32_t(firing), 0);
     }
 }
 

@@ -3,7 +3,7 @@
  * The deterministic discrete-event simulation kernel.
  *
  * One SimKernel carries the shared notion of time for every layer of the
- * simulator.  It generalizes the original sim::EventQueue three ways:
+ * simulator.  It generalizes the seed's storage event queue three ways:
  *
  *   1. Deterministic tie-breaking.  Events fire in (time, priority,
  *      sequence) order: simultaneous events run lowest-priority-value
@@ -23,22 +23,34 @@
  *      hook is a single branch on the hot path (see
  *      bench_kernel_overhead).
  *
+ * An event is plain data: {when, key, kind, aux, payload}.  A module
+ * registers one handler per (kind, aux) at construction — aux addresses
+ * the component, e.g. a disk id — and the kernel dispatches each event
+ * to its handler with the payload.  The same record is the event's
+ * checkpoint record (snap/snapshot.h): saveState() writes the pending
+ * events as they are, and loadState() pushes them back under their
+ * original keys after checking each against the handler table.
+ *
+ * Closures still schedule through schedule(when, domain, cb), for tests,
+ * benches and the drivers that are not checkpointable: the closure waits
+ * in a recycled table inside the kernel and the event's payload indexes
+ * it.  saveState() refuses while any closure is pending.
+ *
  * Periodic work (control ticks, epoch barriers) registers through
  * schedulePeriodic(): the callback returns true to keep ticking, false to
  * stop.  The kernel reschedules after the callback returns, which keeps
  * the sequence-number assignment — and therefore tie order — identical to
- * a callback that reschedules itself as its last statement.
+ * a callback that reschedules itself as its last statement.  A task armed
+ * by kind (registerTask()) is checkpointable: its kind is its identity.
  */
 #ifndef HDDTHERM_ENGINE_KERNEL_H
 #define HDDTHERM_ENGINE_KERNEL_H
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "engine/tag_map.h"
 #include "engine/trace.h"
 #include "snap/snapshot.h"
 
@@ -51,6 +63,10 @@ class SimKernel
     using Callback = std::function<void()>;
     /// Periodic callback: return true to keep the task ticking.
     using PeriodicCallback = std::function<bool()>;
+    /// Runs one event of a registered (kind, aux) with its payload.
+    using Handler = std::function<void(std::uint64_t payload)>;
+    /// Vets the payload of an event record read from a checkpoint.
+    using PayloadCheck = std::function<bool(std::uint64_t payload)>;
 
     /// Domain 0 always exists and is named "default".
     static constexpr DomainId kDefaultDomain = 0;
@@ -87,23 +103,36 @@ class SimKernel
     /// Tie-break priority of a registered domain.
     int domainPriority(DomainId id) const;
 
+    /**
+     * Register @p fire as the handler of events of @p kind addressed to
+     * component @p aux (each pair once; the kernel's built-in kinds are
+     * not registrable).  @p check, if given, vets the payload of each
+     * such event a checkpoint restores.
+     */
+    void registerHandler(std::uint32_t kind, std::uint32_t aux,
+                         Handler fire, PayloadCheck check = nullptr);
+
+    /**
+     * Register @p cb as the body of periodic tasks of @p kind (once per
+     * kind).  schedulePeriodic(domain, period, kind) arms one, and a
+     * checkpoint restores it by its kind.
+     */
+    void registerTask(std::uint32_t kind, PeriodicCallback cb);
+
     /// Schedule @p cb at absolute time @p when (>= now()).
     void schedule(SimTime when, Callback cb)
     {
         schedule(when, kDefaultDomain, std::move(cb));
     }
 
-    /// Schedule @p cb at @p when under clock domain @p domain.
+    /// Schedule @p cb at @p when under clock domain @p domain.  The
+    /// closure blocks saveState() until it has fired.
     void schedule(SimTime when, DomainId domain, Callback cb);
 
-    /**
-     * Schedule @p cb at @p when under @p domain with a snapshot tag: a
-     * typed description from which the owning module rebuilds the exact
-     * callback on restore (see snap/snapshot.h).  While snapshots are
-     * disabled the tag is ignored and this is plain schedule().
-     */
-    void schedule(SimTime when, DomainId domain,
-                  const snap::EventTag& tag, Callback cb);
+    /// Schedule an event of a registered (@p kind, @p aux) with
+    /// @p payload at @p when under @p domain.
+    void schedule(SimTime when, DomainId domain, std::uint32_t kind,
+                  std::uint32_t aux, std::uint64_t payload);
 
     /**
      * Reserve @p n consecutive sequence numbers and return the first.
@@ -115,13 +144,12 @@ class SimKernel
      */
     std::uint64_t reserveSequences(std::uint64_t n);
 
-    /**
-     * Schedule @p cb at @p when under @p domain with the reserved
-     * sequence number @p seq (from reserveSequences(), each number used
-     * once).  The tag is recorded as for the tagged schedule().
-     */
+    /// Schedule an event of a registered (@p kind, @p aux) at @p when
+    /// under @p domain with the reserved sequence number @p seq (from
+    /// reserveSequences(), each number used once).
     void scheduleReserved(SimTime when, DomainId domain, std::uint64_t seq,
-                          const snap::EventTag& tag, Callback cb);
+                          std::uint32_t kind, std::uint32_t aux,
+                          std::uint64_t payload);
 
     /// Reserved sequence numbers not yet scheduled (0 is required to save).
     std::uint64_t reservedPending() const { return reserved_pending_; }
@@ -140,19 +168,15 @@ class SimKernel
      * now() + @p period and re-fires every @p period while it returns
      * true.  The reschedule happens after the callback returns, so events
      * the callback schedules sort ahead of the next tick at equal
-     * timestamps.
+     * timestamps.  A live closure task blocks saveState().
      */
     void schedulePeriodic(DomainId domain, SimTime period,
                           PeriodicCallback cb);
 
-    /**
-     * Arm a *named* periodic task.  The name is the task's identity in a
-     * checkpoint: on restore, loadState() asks its TaskResolver to
-     * rebuild the callback for each saved name.  Snapshot-enabled
-     * kernels require every periodic task to be named.
-     */
+    /// Arm a periodic task of the registered task @p kind (see
+    /// registerTask()); an unregistered kind is rejected here.
     void schedulePeriodic(DomainId domain, SimTime period,
-                          std::string name, PeriodicCallback cb);
+                          std::uint32_t kind);
 
     /// Pop and run the earliest event; returns false if the queue is empty.
     bool runNext();
@@ -189,55 +213,29 @@ class SimKernel
     /// @name Checkpoint/restore
     /// @{
 
-    /// Rebuilds the callback of one tagged event on restore.
-    using EventResolver = std::function<Callback(const snap::EventTag&)>;
-
-    /// Rebuilds the callback of one named periodic task on restore.
-    using TaskResolver =
-        std::function<PeriodicCallback(const std::string&)>;
-
-    /**
-     * Turn snapshot bookkeeping on or off.  Must be called before any
-     * event or periodic task exists — tags are recorded at schedule
-     * time, so a late enable would leave untrackable events behind.
-     * While enabled, every pending event carries its tag in a side
-     * table and untagged events are merely *counted*: they are legal,
-     * but saveState() refuses to run until they have fired.
-     */
-    void enableSnapshots(bool on);
-
-    /// True if snapshot bookkeeping is active.
-    bool snapshotsEnabled() const { return snapshots_; }
-
-    /// Pending events scheduled without a tag (0 is required to save).
-    std::size_t untaggedPending() const { return untagged_pending_; }
-
     /**
      * Serialize clocks, the periodic-task table, and every pending
-     * event (as its tag, in canonical (when, key) order).  Requires
-     * snapshots enabled, zero untagged pending events, no reserved
-     * sequence number still unscheduled (the events it stands for exist
-     * only in their owner's feed), and a name on every live periodic
-     * task — violations throw util::ModelError rather than silently
-     * dropping state.
+     * event record in canonical (when, key) order.  Requires no pending
+     * closure, no live closure task, and no reserved sequence number
+     * still unscheduled (the events it stands for exist only in their
+     * owner's feed) — violations throw util::ModelError rather than
+     * silently dropping state.
      */
     void saveState(snap::StateWriter& w) const;
 
     /**
      * Restore a kernel saved by saveState().  Must be called on an idle
      * kernel (no events, no periodic tasks) whose registered domains
-     * exactly match the saved run — modules register domains during
+     * exactly match the saved run and whose handlers and task kinds
+     * cover every saved record — modules register both during
      * construction, so rebuilding the object graph from the same config
      * satisfies this.  Pending events are re-enqueued with their
      * *original* heap keys and the sequence counter resumes where it
      * left off, so tie-breaking — and therefore the simulation — is
-     * bit-identical to the uninterrupted run.  @p events rebuilds
-     * module-owned callbacks from their tags; @p tasks rebuilds named
-     * periodic callbacks (periodic re-fire events are handled
-     * internally).
+     * bit-identical to the uninterrupted run.  A record that no handler
+     * accepts throws util::ModelError.
      */
-    void loadState(snap::StateReader& r, const EventResolver& events,
-                   const TaskResolver& tasks);
+    void loadState(snap::StateReader& r);
 
     /// @}
 
@@ -245,17 +243,20 @@ class SimKernel
     /**
      * key = biased priority(16) | sequence(32) | domain(16): one integer
      * compare resolves both tie-break levels (the domain sits below the
-     * unique sequence, so it never influences order), and the event
-     * matches the pre-refactor queue's 48 bytes exactly — heap sifts
-     * move whole events, so size is dispatch cost (bench_kernel_overhead
-     * gates this).
+     * unique sequence, so it never influences order).  The event is
+     * plain data, so heap sifts move 32 trivially copyable bytes
+     * (bench_kernel_overhead gates dispatch cost).
      */
     struct Event
     {
         SimTime when;
         std::uint64_t key;
-        Callback cb;
+        std::uint32_t kind;
+        std::uint32_t aux;
+        std::uint64_t payload;
     };
+    static_assert(sizeof(Event) <= 32, "an event is one 32-byte record");
+
     struct Later
     {
         bool operator()(const Event& a, const Event& b) const
@@ -270,35 +271,45 @@ class SimKernel
         std::string name;
         int priority;
         /// Biased priority pre-shifted into the key's top 16 bits plus
-        /// the domain id in its low 16, so schedule() builds an event
-        /// key from the sequence number with a single OR.
+        /// the domain id in its low 16, so an event key is built from the
+        /// sequence number with a single OR.
         std::uint64_t key_base;
+    };
+    struct Unit
+    {
+        Handler fire;
+        PayloadCheck check;
     };
     struct PeriodicTask
     {
         DomainId domain;
         SimTime period;
-        PeriodicCallback cb;
-        std::string name; ///< Checkpoint identity ("" = unnamed).
+        std::uint32_t kind; ///< Checkpoint identity (kTaskClosure: none).
+        PeriodicCallback cb; ///< Empty once the task has stopped.
     };
 
-    void firePeriodic(std::size_t index);
+    void checkSchedule(SimTime when, DomainId domain) const;
+    bool hasHandler(std::uint32_t kind, std::uint32_t aux) const;
+    void push(SimTime when, DomainId domain, std::uint64_t seq,
+              std::uint32_t kind, std::uint32_t aux, std::uint64_t payload);
+    void armTask(DomainId domain, SimTime period, std::uint32_t kind,
+                 PeriodicCallback cb);
+    void firePeriodic(std::uint32_t index);
     void emit(TraceKind kind, const Event& ev);
-    void scheduleImpl(SimTime when, DomainId domain, std::uint64_t seq,
-                      const snap::EventTag* tag, Callback cb);
-
-    /// Sequence number packed inside an event key (unique per event).
-    static std::uint64_t seqOf(std::uint64_t key)
-    {
-        return (key >> kDomainBits) &
-               ((std::uint64_t(1) << kSeqBits) - 1);
-    }
 
     /// Sentinel for firing_periodic_: no periodic callback in flight.
     static constexpr std::size_t kNoTask = std::size_t(-1);
 
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
+    /// Binary min-heap on (when, key) under Later.
+    std::vector<Event> heap_;
     std::vector<Domain> domains_;
+    /// handlers_[kind][aux]; the built-in kinds stay empty.
+    std::vector<std::vector<Unit>> handlers_;
+    /// task_kinds_[kind]: body of the periodic tasks of that kind.
+    std::vector<PeriodicCallback> task_kinds_;
+    /// Pending closures (kEvtClosure payloads index it) and free slots.
+    std::vector<Callback> closures_;
+    std::vector<std::uint32_t> free_closures_;
     std::vector<PeriodicTask> periodic_;
     /// Index of the periodic task currently executing (kNoTask outside a
     /// firing).  saveState() needs it: a checkpoint written from inside a
@@ -312,11 +323,6 @@ class SimKernel
     std::uint64_t next_seq_ = 0;
     std::uint64_t reserved_pending_ = 0;
     std::uint64_t fired_ = 0;
-
-    /// Snapshot side table: sequence number -> tag of the pending event.
-    EventTagMap tags_;
-    std::size_t untagged_pending_ = 0;
-    bool snapshots_ = false;
 };
 
 } // namespace hddtherm::engine

@@ -86,9 +86,9 @@ bayPrefix(int global_index)
 /**
  * One fleet run in flight: the shards, the executor, the fleet-level
  * epoch kernel, and the accumulating result.  run() and resume() share
- * it — a fresh run arms the "fleet.barrier" (and optionally
- * "snap.checkpoint") periodic tasks itself; a resumed run restores them
- * from the checkpoint through the kernel's TaskResolver.
+ * it — a fresh run arms the barrier (and optionally the checkpoint)
+ * periodic task itself; a resumed run restores them from the checkpoint
+ * by their task kinds, registered here at construction.
  */
 struct FleetRun
 {
@@ -102,6 +102,10 @@ struct FleetRun
           airflow_scale(chassis_count, 1.0),
           epoch_domain(epochs.registerDomain("fleet-epoch"))
     {
+        epochs.registerTask(snap::kTaskFleetBarrier,
+                            [this]() { return barrierTick(); });
+        epochs.registerTask(snap::kTaskFleetCheckpoint,
+                            [this]() { return checkpointTick(); });
     }
 
     const FleetConfig& config;
@@ -121,7 +125,7 @@ struct FleetRun
     /// Build every shard serially in bay order: thermal calibration
     /// (lazy, shared) resolves on this thread, and engine construction
     /// order never depends on the executor.
-    void buildShards(bool snapshots)
+    void buildShards()
     {
         const auto bays = enumerateBays(config);
         // Idle chassis air (zero heat) supplies each bay's starting
@@ -142,8 +146,6 @@ struct FleetRun
             Shard shard;
             shard.addr = addr;
             shard.engine = std::make_unique<dtm::CoSimEngine>(cfg);
-            if (snapshots)
-                shard.engine->enableSnapshots();
             shards.push_back(std::move(shard));
         }
         result.shards = int(shards.size());
@@ -255,7 +257,7 @@ struct FleetRun
         return true;
     }
 
-    /// Periodic "snap.checkpoint" task body.  A resumed run without a
+    /// Body of the kTaskFleetCheckpoint periodic task.  A resumed run without a
     /// policy of its own lets the restored task die on first firing.
     bool checkpointTick()
     {
@@ -343,21 +345,7 @@ struct FleetRun
                 in, workloads[i], bayPrefix(shards[i].addr.globalIndex));
         {
             auto r = in.section("fleet.kernel");
-            epochs.loadState(
-                r,
-                [](const snap::EventTag&) -> engine::SimKernel::Callback {
-                    // The fleet kernel only carries periodic tasks,
-                    // which the kernel restores internally.
-                    return nullptr;
-                },
-                [this](const std::string& name)
-                    -> engine::SimKernel::PeriodicCallback {
-                    if (name == "fleet.barrier")
-                        return [this]() { return barrierTick(); };
-                    if (name == "snap.checkpoint")
-                        return [this]() { return checkpointTick(); };
-                    return nullptr;
-                });
+            epochs.loadState(r);
         }
     }
 
@@ -428,23 +416,21 @@ FleetSimulation::run(int threads, engine::TraceSink* epoch_trace,
     if (checkpoints) {
         validateFleetPolicy(*checkpoints);
         run.ckpt_mgr.emplace(*checkpoints);
-        run.epochs.enableSnapshots(true);
     }
-    run.buildShards(checkpoints != nullptr);
+    run.buildShards();
     run.generateAndStart();
     run.epochs.setTraceSink(epoch_trace);
     // The epoch loop: the ambient-sync barrier is a periodic task in
     // the fleet-level kernel's "fleet-epoch" clock domain.  It is armed
     // before the checkpoint task, fixing the tie order at coincident
-    // timestamps once and for all (checkpoints restore both by name).
+    // timestamps once and for all (checkpoints restore both by kind).
     run.epochs.schedulePeriodic(run.epoch_domain, config_.epochSec,
-                                "fleet.barrier",
-                                [&run]() { return run.barrierTick(); });
+                                snap::kTaskFleetBarrier);
     if (run.ckpt_mgr) {
         run.epochs.schedulePeriodic(
             run.epoch_domain,
             config_.epochSec * double(run.ckpt_mgr->policy().everyEpochs),
-            "snap.checkpoint", [&run]() { return run.checkpointTick(); });
+            snap::kTaskFleetCheckpoint);
     }
     return run.finish();
 }
@@ -466,8 +452,7 @@ FleetSimulation::resume(const std::string& checkpoint_path, int threads,
         validateFleetPolicy(*checkpoints);
         run.ckpt_mgr.emplace(*checkpoints);
     }
-    run.epochs.enableSnapshots(true);
-    run.buildShards(true);
+    run.buildShards();
     run.epochs.setTraceSink(epoch_trace);
     run.loadCheckpoint(in);
     // The restored ckpt_index is the *next* index to write; prime the
@@ -480,7 +465,8 @@ FleetSimulation::resume(const std::string& checkpoint_path, int threads,
 std::string
 checkpointDescription(const FleetConfig& config)
 {
-    std::string d = "fleet-v1";
+    // v2 with the bays' cosim-v2: v1 checkpoints are refused by the hash.
+    std::string d = "fleet-v2";
     appendf(d, "|racks=%d|chassis=%d|bays=%d", config.racks,
             config.rack.chassisCount, config.chassis.bays);
     appendf(d, "|inlet=%.17g|preheat=%.17g", config.rack.inletC,

@@ -1,6 +1,5 @@
 #include "sim/disk.h"
 
-#include <bit>
 #include <cmath>
 
 #include "snap/state.h"
@@ -15,9 +14,9 @@ makeLayout(const DiskConfig& config)
     return hdd::ZoneModel(config.geometry, config.tech, config.zones);
 }
 
-SimDisk::SimDisk(EventQueue& events, const DiskConfig& config, int id)
+SimDisk::SimDisk(engine::SimKernel& events, const DiskConfig& config, int id)
     : events_(events),
-      domain_(storageDomain(events)),
+      domain_(events.registerDomain("storage")),
       config_(config),
       id_(id),
       map_(makeLayout(config)),
@@ -37,6 +36,21 @@ SimDisk::SimDisk(EventQueue& events, const DiskConfig& config, int id)
     HDDTHERM_REQUIRE(config_.busMBps > 0.0, "bus rate must be positive");
     HDDTHERM_REQUIRE(config_.rpmChangeSecPerKrpm >= 0.0,
                      "negative rpm transition rate");
+    HDDTHERM_REQUIRE(id_ >= 0, "disk id must not be negative");
+    // The disk id addresses this disk's events in a kernel it shares.
+    const auto unit = std::uint32_t(id_);
+    events_.registerHandler(
+        snap::kEvtDiskFinish, unit, [this](std::uint64_t) { finish(); },
+        [this](std::uint64_t payload) { return payload == 0 && busy_; });
+    events_.registerHandler(
+        snap::kEvtDiskRetry, unit,
+        [this](std::uint64_t) {
+            retry_scheduled_ = false;
+            tryDispatch();
+        },
+        [this](std::uint64_t payload) {
+            return payload == 0 && retry_scheduled_;
+        });
 }
 
 void
@@ -59,7 +73,7 @@ SimDisk::submit(const IoRequest& request)
 }
 
 void
-SimDisk::noteDepthChange(SimTime now, int delta)
+SimDisk::noteDepthChange(engine::SimTime now, int delta)
 {
     depth_integral_ += double(depth_) * (now - depth_changed_at_);
     depth_changed_at_ = now;
@@ -68,7 +82,7 @@ SimDisk::noteDepthChange(SimTime now, int delta)
 }
 
 double
-SimDisk::avgQueueDepth(SimTime now) const
+SimDisk::avgQueueDepth(engine::SimTime now) const
 {
     if (now <= 0.0)
         return 0.0;
@@ -93,7 +107,7 @@ SimDisk::changeRpm(double new_rpm)
         pending_rpm_ = new_rpm; // applied when the in-flight request ends
         return;
     }
-    const SimTime now = events_.now();
+    const engine::SimTime now = events_.now();
     const double duration = std::fabs(new_rpm - mechanics_.rpm()) *
                             config_.rpmChangeSecPerKrpm / 1000.0;
     mechanics_.setRpm(new_rpm, now);
@@ -107,18 +121,13 @@ SimDisk::tryDispatch()
     if (busy_ || gated_ || sched_.empty())
         return;
 
-    const SimTime now = events_.now();
+    const engine::SimTime now = events_.now();
     if (now < available_at_) {
         // Spindle transition in progress: retry when it completes.
         if (!retry_scheduled_) {
             retry_scheduled_ = true;
-            snap::EventTag tag;
-            tag.kind = snap::kEvtDiskRetry;
-            tag.aux = std::uint32_t(id_);
-            events_.schedule(available_at_, domain_, tag, [this] {
-                retry_scheduled_ = false;
-                tryDispatch();
-            });
+            events_.schedule(available_at_, domain_, snap::kEvtDiskRetry,
+                             std::uint32_t(id_), 0);
         }
         return;
     }
@@ -163,12 +172,8 @@ SimDisk::tryDispatch()
     activity_.busySec += service;
     in_service_ = req;
     finish_time_ = now + service;
-    snap::EventTag tag;
-    tag.kind = snap::kEvtDiskFinish;
-    tag.aux = std::uint32_t(id_);
-    packIoRequest(req, tag.w.data());
-    tag.w[5] = std::bit_cast<std::uint64_t>(finish_time_);
-    events_.schedule(finish_time_, domain_, tag, [this] { finish(); });
+    events_.schedule(finish_time_, domain_, snap::kEvtDiskFinish,
+                     std::uint32_t(id_), 0);
 }
 
 void
@@ -177,7 +182,7 @@ SimDisk::finish()
     // Copied out: the handler may start the next service, which
     // overwrites in_service_.
     const IoRequest request = in_service_;
-    const SimTime finish_time = finish_time_;
+    const engine::SimTime finish_time = finish_time_;
     busy_ = false;
     idle_since_ = finish_time;
     noteDepthChange(finish_time, -1);
@@ -204,6 +209,13 @@ SimDisk::saveState(snap::StateWriter& w) const
     w.f64("available_at", available_at_);
     w.f64("pending_rpm", pending_rpm_);
     w.boolean("retry_scheduled", retry_scheduled_);
+    if (busy_) {
+        // The pending finish event's record carries neither.
+        std::vector<std::uint64_t> in_service(5);
+        packIoRequest(in_service_, in_service.data());
+        w.u64vec("in_service", in_service);
+        w.f64("finish_time", finish_time_);
+    }
     w.f64vec("idle_gaps", idle_gaps_);
 
     w.f64("act.busy_sec", activity_.busySec);
@@ -240,6 +252,14 @@ SimDisk::loadState(snap::StateReader& r)
     available_at_ = r.f64("available_at");
     pending_rpm_ = r.f64("pending_rpm");
     retry_scheduled_ = r.boolean("retry_scheduled");
+    if (busy_) {
+        const auto in_service = r.u64vec("in_service");
+        HDDTHERM_REQUIRE(in_service.size() == 5,
+                         "checkpoint section '" + r.section() +
+                             "': in-service request is not five words");
+        in_service_ = unpackIoRequest(in_service.data());
+        finish_time_ = r.f64("finish_time");
+    }
     idle_gaps_ = r.f64vec("idle_gaps");
 
     activity_.busySec = r.f64("act.busy_sec");
@@ -262,23 +282,6 @@ SimDisk::loadState(snap::StateReader& r)
         snap::ScopedPrefix scope(r, "sched");
         sched_.loadState(r);
     }
-}
-
-engine::SimKernel::Callback
-SimDisk::restoreEvent(const snap::EventTag& tag)
-{
-    if (tag.kind == snap::kEvtDiskRetry) {
-        return [this] {
-            retry_scheduled_ = false;
-            tryDispatch();
-        };
-    }
-    if (tag.kind == snap::kEvtDiskFinish) {
-        in_service_ = unpackIoRequest(tag.w.data());
-        finish_time_ = std::bit_cast<SimTime>(tag.w[5]);
-        return [this] { finish(); };
-    }
-    return nullptr;
 }
 
 } // namespace hddtherm::sim

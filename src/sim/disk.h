@@ -17,12 +17,12 @@
 #include <optional>
 #include <vector>
 
+#include "engine/kernel.h"
 #include "hdd/geometry.h"
 #include "hdd/recording.h"
 #include "hdd/seek.h"
 #include "sim/address_map.h"
 #include "sim/cache.h"
-#include "sim/event.h"
 #include "sim/mechanics.h"
 #include "sim/request.h"
 #include "sim/scheduler.h"
@@ -75,14 +75,15 @@ class SimDisk
   public:
     /// Invoked when a request completes, with the finish time.
     using CompletionHandler =
-        std::function<void(const IoRequest&, SimTime)>;
+        std::function<void(const IoRequest&, engine::SimTime)>;
 
     /**
-     * @param events shared event queue (must outlive the disk).
+     * @param events shared kernel (must outlive the disk).
      * @param config drive configuration.
-     * @param id diagnostic identifier.
+     * @param id disk id, unique per kernel: it addresses this disk's
+     *        finish and retry events (their aux field).
      */
-    SimDisk(EventQueue& events, const DiskConfig& config, int id = 0);
+    SimDisk(engine::SimKernel& events, const DiskConfig& config, int id = 0);
 
     SimDisk(const SimDisk&) = delete;
     SimDisk& operator=(const SimDisk&) = delete;
@@ -133,10 +134,10 @@ class SimDisk
      * Time-averaged number of requests in the system (queued plus in
      * service) from t=0 to @p now — Little's-law "L" for this disk.
      */
-    double avgQueueDepth(SimTime now) const;
+    double avgQueueDepth(engine::SimTime now) const;
 
     /// Fraction of [0, now] the disk spent servicing requests.
-    double utilization(SimTime now) const
+    double utilization(engine::SimTime now) const
     {
         return now > 0.0 ? activity_.busySec / now : 0.0;
     }
@@ -153,24 +154,21 @@ class SimDisk
     /// @name Checkpoint/restore (driven by StorageSystem).
     /// @{
 
-    /// Serialize dispatch state, mechanics, cache, queue, and counters.
+    /// Serialize dispatch state (the request in service included),
+    /// mechanics, cache, queue, and counters.
     void saveState(snap::StateWriter& w) const;
 
     /// Restore state written by saveState.
     void loadState(snap::StateReader& r);
-
-    /// Rebuild the callback of one of this disk's tagged pending events
-    /// (kEvtDiskFinish / kEvtDiskRetry).
-    engine::SimKernel::Callback restoreEvent(const snap::EventTag& tag);
 
     /// @}
 
   private:
     void tryDispatch();
     void finish();
-    void noteDepthChange(SimTime now, int delta);
+    void noteDepthChange(engine::SimTime now, int delta);
 
-    EventQueue& events_;
+    engine::SimKernel& events_;
     engine::DomainId domain_; ///< The kernel's storage clock domain.
     DiskConfig config_;
     int id_;
@@ -183,18 +181,17 @@ class SimDisk
     DiskActivity activity_;
     bool busy_ = false;
     /// The request in service while busy_, and when its service ends.
-    /// One request is served at a time, so the finish event needs no
-    /// copy of its own (and its closure fits std::function's inline
-    /// buffer).
+    /// One request is served at a time, so the finish event carries
+    /// neither; saveState() writes both while busy_.
     IoRequest in_service_;
-    SimTime finish_time_ = 0.0;
+    engine::SimTime finish_time_ = 0.0;
     bool gated_ = false;
-    SimTime idle_since_ = 0.0;   ///< When the disk last went idle.
+    engine::SimTime idle_since_ = 0.0;   ///< When the disk last went idle.
     std::vector<double> idle_gaps_;
     int depth_ = 0;              ///< Requests in the system right now.
     double depth_integral_ = 0.0;
-    SimTime depth_changed_at_ = 0.0;
-    SimTime available_at_ = 0.0; ///< End of any RPM transition.
+    engine::SimTime depth_changed_at_ = 0.0;
+    engine::SimTime available_at_ = 0.0; ///< End of any RPM transition.
     double pending_rpm_ = 0.0;   ///< Nonzero while a transition waits.
     bool retry_scheduled_ = false;
 };

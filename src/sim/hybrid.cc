@@ -7,7 +7,7 @@
 namespace hddtherm::sim {
 
 HybridSystem::HybridSystem(const HybridConfig& config)
-    : config_(config), domain_(storageDomain(events_))
+    : config_(config), domain_(events_.registerDomain("storage"))
 {
     HDDTHERM_REQUIRE(config_.extentSectors >= 8,
                      "extent granularity too small");
@@ -20,7 +20,7 @@ HybridSystem::HybridSystem(const HybridConfig& config)
     for (std::int64_t s = max_resident_; s-- > 0;)
         free_slots_.push_back(s);
 
-    const auto handler = [this](const IoRequest& sub, SimTime finish) {
+    const auto handler = [this](const IoRequest& sub, engine::SimTime finish) {
         onDiskComplete(sub, finish);
     };
     primary_->setCompletionHandler(handler);
@@ -186,7 +186,7 @@ HybridSystem::dispatch(const IoRequest& request)
 }
 
 void
-HybridSystem::onDiskComplete(const IoRequest& sub, SimTime finish)
+HybridSystem::onDiskComplete(const IoRequest& sub, engine::SimTime finish)
 {
     const auto it = reported_.find(sub.id);
     if (it == reported_.end())

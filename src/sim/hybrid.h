@@ -75,7 +75,7 @@ class HybridSystem
     ResponseMetrics run(const std::vector<IoRequest>& workload);
 
     /// Shared event queue.
-    EventQueue& events() { return events_; }
+    engine::SimKernel& events() { return events_; }
 
     /// Member access (0 = primary, 1 = cache disk).
     SimDisk& primary() { return *primary_; }
@@ -106,10 +106,10 @@ class HybridSystem
     std::int64_t cacheLba(std::int64_t lba) const;
 
     void dispatch(const IoRequest& request);
-    void onDiskComplete(const IoRequest& sub, SimTime finish);
+    void onDiskComplete(const IoRequest& sub, engine::SimTime finish);
 
     HybridConfig config_;
-    EventQueue events_;
+    engine::SimKernel events_;
     engine::DomainId domain_; ///< Storage clock domain of events_.
     std::unique_ptr<SimDisk> primary_;
     std::unique_ptr<SimDisk> cache_;
@@ -131,7 +131,7 @@ class HybridSystem
     struct Pending
     {
         std::uint64_t id;
-        SimTime arrival;
+        engine::SimTime arrival;
     };
     std::unordered_map<std::uint64_t, Pending> reported_;
     std::uint64_t next_sub_id_ = 1;

@@ -17,7 +17,7 @@ DiskMechanics::DiskMechanics(const DiskAddressMap& map,
 }
 
 void
-DiskMechanics::setRpm(double rpm, SimTime now)
+DiskMechanics::setRpm(double rpm, engine::SimTime now)
 {
     HDDTHERM_REQUIRE(rpm > 0.0, "rpm must be positive");
     ref_phase_ = phaseAt(now);
@@ -34,7 +34,7 @@ DiskMechanics::setHeadCylinder(int cylinder)
 }
 
 double
-DiskMechanics::phaseAt(SimTime t) const
+DiskMechanics::phaseAt(engine::SimTime t) const
 {
     HDDTHERM_REQUIRE(t >= ref_time_, "phase query before last RPM change");
     const double revs = (t - ref_time_) * rpm_ / 60.0;
@@ -46,7 +46,7 @@ DiskMechanics::phaseAt(SimTime t) const
 
 ServiceBreakdown
 DiskMechanics::service(const PhysicalAddress& addr, int sectors,
-                       SimTime start)
+                       engine::SimTime start)
 {
     HDDTHERM_REQUIRE(sectors >= 1, "empty transfer");
     ServiceBreakdown out;

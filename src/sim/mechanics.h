@@ -10,9 +10,9 @@
 #ifndef HDDTHERM_SIM_MECHANICS_H
 #define HDDTHERM_SIM_MECHANICS_H
 
+#include "engine/trace.h"
 #include "hdd/seek.h"
 #include "sim/address_map.h"
-#include "sim/event.h"
 
 namespace hddtherm::snap {
 class StateWriter;
@@ -55,7 +55,7 @@ class DiskMechanics
     /**
      * Change the spindle speed at time @p now, preserving angular phase.
      */
-    void setRpm(double rpm, SimTime now);
+    void setRpm(double rpm, engine::SimTime now);
 
     /// Current head cylinder.
     int headCylinder() const { return head_cylinder_; }
@@ -64,7 +64,7 @@ class DiskMechanics
     void setHeadCylinder(int cylinder);
 
     /// Angular phase in [0, 1) revolutions at time @p t (>= last change).
-    double phaseAt(SimTime t) const;
+    double phaseAt(engine::SimTime t) const;
 
     /// Time for one revolution at the current speed.
     double revolutionSec() const { return 60.0 / rpm_; }
@@ -75,7 +75,7 @@ class DiskMechanics
      * the head to the final cylinder.
      */
     ServiceBreakdown service(const PhysicalAddress& addr, int sectors,
-                             SimTime start);
+                             engine::SimTime start);
 
     /// Seek distance (cylinders) the last service() call performed.
     int lastSeekDistance() const { return last_seek_distance_; }
@@ -93,7 +93,7 @@ class DiskMechanics
     double head_switch_sec_;
     int head_cylinder_ = 0;
     // Angular reference: phase at ref_time_ was ref_phase_.
-    SimTime ref_time_ = 0.0;
+    engine::SimTime ref_time_ = 0.0;
     double ref_phase_ = 0.0;
     int last_seek_distance_ = 0;
 };

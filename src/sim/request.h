@@ -9,7 +9,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "sim/event.h"
+#include "engine/trace.h"
 
 namespace hddtherm::sim {
 
@@ -24,7 +24,7 @@ enum class IoType
 struct IoRequest
 {
     std::uint64_t id = 0;     ///< Unique request id.
-    SimTime arrival = 0.0;    ///< Issue time, seconds.
+    engine::SimTime arrival = 0.0;    ///< Issue time, seconds.
     int device = 0;           ///< Target logical device.
     std::int64_t lba = 0;     ///< Starting sector.
     int sectors = 1;          ///< Length in sectors.
@@ -35,8 +35,9 @@ struct IoRequest
 };
 
 /// @name Checkpoint packing.
-/// An IoRequest packs losslessly into five 64-bit words — the payload of
-/// snapshot event tags (snap::EventTag::w) and of blob-encoded queues.
+/// An IoRequest packs losslessly into five 64-bit words — the encoding of
+/// requests in checkpoint blobs (queues, in-flight and arrival tables)
+/// and of workload fingerprints.
 /// @{
 inline void
 packIoRequest(const IoRequest& r, std::uint64_t* w)
@@ -67,8 +68,8 @@ unpackIoRequest(const std::uint64_t* w)
 struct IoCompletion
 {
     std::uint64_t id = 0;
-    SimTime arrival = 0.0;
-    SimTime finish = 0.0;
+    engine::SimTime arrival = 0.0;
+    engine::SimTime finish = 0.0;
 
     /// End-to-end response time in milliseconds.
     double responseTimeMs() const { return (finish - arrival) * 1e3; }

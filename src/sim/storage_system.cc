@@ -11,7 +11,7 @@
 namespace hddtherm::sim {
 
 StorageSystem::StorageSystem(const SystemConfig& config)
-    : config_(config), domain_(storageDomain(events_))
+    : config_(config), domain_(events_.registerDomain("storage"))
 {
     HDDTHERM_REQUIRE(config_.disks >= 1, "need at least one disk");
     if (config_.raid == RaidLevel::Raid5)
@@ -27,10 +27,16 @@ StorageSystem::StorageSystem(const SystemConfig& config)
         disks_.push_back(
             std::make_unique<SimDisk>(events_, config_.disk, i));
         disks_.back()->setCompletionHandler(
-            [this](const IoRequest& sub, SimTime finish) {
+            [this](const IoRequest& sub, engine::SimTime finish) {
                 onSubComplete(sub, finish);
             });
     }
+    events_.registerHandler(
+        snap::kEvtArrival, 0,
+        [this](std::uint64_t slot) { arrive(std::uint32_t(slot)); },
+        [this](std::uint64_t slot) {
+            return slot < arrivals_.size() && arrivals_[slot].pending;
+        });
 }
 
 std::int64_t
@@ -62,26 +68,48 @@ StorageSystem::validate(const IoRequest& request) const
                      "cannot schedule into the past");
 }
 
-namespace {
-
-snap::EventTag
-arrivalTag(const IoRequest& request)
+std::uint32_t
+StorageSystem::holdArrival(const IoRequest& request, bool fed)
 {
-    snap::EventTag tag;
-    tag.kind = snap::kEvtArrival;
-    packIoRequest(request, tag.w.data());
-    return tag;
+    std::uint32_t slot;
+    if (free_arrivals_.empty()) {
+        slot = std::uint32_t(arrivals_.size());
+        arrivals_.emplace_back();
+    } else {
+        std::pop_heap(free_arrivals_.begin(), free_arrivals_.end(),
+                      std::greater<>());
+        slot = free_arrivals_.back();
+        free_arrivals_.pop_back();
+    }
+    arrivals_[slot] = {request, true, fed};
+    return slot;
 }
 
-} // namespace
+void
+StorageSystem::arrive(std::uint32_t slot)
+{
+    Arrival& arrival = arrivals_[slot];
+    arrival.pending = false;
+    const IoRequest request = arrival.request;
+    const bool fed = arrival.fed;
+    free_arrivals_.push_back(slot);
+    std::push_heap(free_arrivals_.begin(), free_arrivals_.end(),
+                   std::greater<>());
+    if (fed) {
+        --feed_live_;
+        if (feeding())
+            feedNext();
+    }
+    dispatch(request);
+}
 
 void
 StorageSystem::submit(const IoRequest& request)
 {
     validate(request);
     HDDTHERM_OBS_COUNT("sim.system.submitted");
-    events_.schedule(request.arrival, domain_, arrivalTag(request),
-                     [this, request] { dispatch(request); });
+    events_.schedule(request.arrival, domain_, snap::kEvtArrival, 0,
+                     holdArrival(request, false));
 }
 
 ResponseMetrics
@@ -139,12 +167,8 @@ StorageSystem::feedNext()
     const std::uint32_t index = feed_order_[feed_next_++];
     const IoRequest& request = (*feed_)[index];
     events_.scheduleReserved(request.arrival, domain_, feed_base_ + index,
-                             arrivalTag(request), [this, index] {
-                                 --feed_live_;
-                                 if (feeding())
-                                     feedNext();
-                                 dispatch((*feed_)[index]);
-                             });
+                             snap::kEvtArrival, 0,
+                             holdArrival(request, true));
 }
 
 void
@@ -425,7 +449,7 @@ StorageSystem::dispatch(const IoRequest& request)
 }
 
 void
-StorageSystem::onSubComplete(const IoRequest& sub, SimTime finish)
+StorageSystem::onSubComplete(const IoRequest& sub, engine::SimTime finish)
 {
     const std::uint32_t* parent = sub_to_parent_.find(sub.id);
     HDDTHERM_ASSERT(parent != nullptr);
@@ -450,7 +474,7 @@ StorageSystem::onSubComplete(const IoRequest& sub, SimTime finish)
 }
 
 void
-StorageSystem::completeLogical(const Outstanding& out, SimTime finish)
+StorageSystem::completeLogical(const Outstanding& out, engine::SimTime finish)
 {
     if (out.reported)
         return; // already counted at write-report time
@@ -537,6 +561,18 @@ StorageSystem::saveState(snap::StateWriter& w) const
     w.u64("subs", subs.size());
     w.bytes("sub_blob", sub_blob.take());
 
+    // The arrival table slot by slot: the kernel's arrival records carry
+    // these indices.  A restored run hands out the same slots afterwards,
+    // because a free slot is always the lowest one not pending.
+    snap::BlobWriter arrival_blob;
+    for (const Arrival& arrival : arrivals_) {
+        arrival_blob.u8(arrival.pending ? 1 : 0);
+        if (arrival.pending)
+            blobWriteRequest(arrival_blob, arrival.request);
+    }
+    w.u64("arrival_slots", arrivals_.size());
+    w.bytes("arrival_blob", arrival_blob.take());
+
     for (std::size_t i = 0; i < disks_.size(); ++i) {
         snap::ScopedPrefix scope(w, "disk" + std::to_string(i));
         disks_[i]->saveState(w);
@@ -600,25 +636,30 @@ StorageSystem::loadState(snap::StateReader& r)
                      "checkpoint section '" + r.section() +
                          "' carries trailing sub-request bytes");
 
+    const auto arrival_slots = r.u64("arrival_slots");
+    const auto arrival_raw = r.bytes("arrival_blob");
+    snap::BlobReader arrival_blob(
+        "section '" + r.section() + "' arrival table", arrival_raw);
+    arrivals_.clear();
+    free_arrivals_.clear();
+    for (std::uint64_t slot = 0; slot < arrival_slots; ++slot) {
+        Arrival& arrival = arrivals_.emplace_back();
+        arrival.pending = arrival_blob.u8() != 0;
+        if (arrival.pending)
+            arrival.request = blobReadRequest(arrival_blob);
+        else
+            free_arrivals_.push_back(std::uint32_t(slot));
+    }
+    HDDTHERM_REQUIRE(arrival_blob.atEnd(),
+                     "checkpoint section '" + r.section() +
+                         "' carries trailing arrival bytes");
+    std::make_heap(free_arrivals_.begin(), free_arrivals_.end(),
+                   std::greater<>());
+
     for (std::size_t i = 0; i < disks_.size(); ++i) {
         snap::ScopedPrefix scope(r, "disk" + std::to_string(i));
         disks_[i]->loadState(r);
     }
-}
-
-engine::SimKernel::Callback
-StorageSystem::restoreEvent(const snap::EventTag& tag)
-{
-    if (tag.kind == snap::kEvtArrival) {
-        const IoRequest request = unpackIoRequest(tag.w.data());
-        return [this, request] { dispatch(request); };
-    }
-    if (tag.kind == snap::kEvtDiskFinish ||
-        tag.kind == snap::kEvtDiskRetry) {
-        if (tag.aux < disks_.size())
-            return disks_[tag.aux]->restoreEvent(tag);
-    }
-    return nullptr;
 }
 
 } // namespace hddtherm::sim

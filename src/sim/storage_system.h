@@ -49,8 +49,8 @@ class StorageSystem
     explicit StorageSystem(const SystemConfig& config);
 
     /// Shared event queue (drive it manually for co-simulation).
-    EventQueue& events() { return events_; }
-    const EventQueue& events() const { return events_; }
+    engine::SimKernel& events() { return events_; }
+    const engine::SimKernel& events() const { return events_; }
 
     /// Member disk access.
     SimDisk& disk(int i) { return *disks_.at(std::size_t(i)); }
@@ -70,7 +70,8 @@ class StorageSystem
 
     /**
      * Schedule a logical request for its arrival time (which must not be
-     * in the simulated past).
+     * in the simulated past).  The request waits in a recycled arrival
+     * slot, which the arrival event's payload names.
      */
     void submit(const IoRequest& request);
 
@@ -141,17 +142,12 @@ class StorageSystem
     /// @name Checkpoint/restore
     /// @{
 
-    /// Serialize controller + metrics + every member disk (the kernel is
-    /// saved separately by its owner).
+    /// Serialize controller, metrics, pending arrivals and every member
+    /// disk (the kernel is saved separately by its owner).
     void saveState(snap::StateWriter& w) const;
 
     /// Restore state written by saveState.
     void loadState(snap::StateReader& r);
-
-    /// Rebuild the callback of one tagged pending event — logical
-    /// arrivals are the controller's own, disk events delegate to the
-    /// member the tag's aux field addresses.
-    engine::SimKernel::Callback restoreEvent(const snap::EventTag& tag);
 
     /// @}
 
@@ -166,17 +162,27 @@ class StorageSystem
         std::vector<IoRequest> phase2; ///< RMW writes awaiting phase 1.
     };
 
+    /// A logical request between submission and its arrival event.
+    struct Arrival
+    {
+        IoRequest request;
+        bool pending = false; ///< Its arrival event is in the kernel.
+        bool fed = false;     ///< Scheduled by run()'s feed.
+    };
+
     void validate(const IoRequest& request) const;
+    std::uint32_t holdArrival(const IoRequest& request, bool fed);
+    void arrive(std::uint32_t slot);
     void feedNext();
     void dispatch(const IoRequest& request);
     int pickMirror() const;
     std::uint32_t acquireSlot(const IoRequest& logical, bool reported);
     void issueSub(std::uint32_t slot, int disk_index, const IoRequest& sub);
-    void onSubComplete(const IoRequest& sub, SimTime finish);
-    void completeLogical(const Outstanding& out, SimTime finish);
+    void onSubComplete(const IoRequest& sub, engine::SimTime finish);
+    void completeLogical(const Outstanding& out, engine::SimTime finish);
 
     SystemConfig config_;
-    EventQueue events_;
+    engine::SimKernel events_;
     engine::DomainId domain_; ///< Storage clock domain of events_.
     std::vector<std::unique_ptr<SimDisk>> disks_;
     ResponseMetrics metrics_;
@@ -187,6 +193,11 @@ class StorageSystem
     util::FlatU64Map<std::uint32_t> inflight_;      ///< logical id -> slot
     util::FlatU64Map<std::uint32_t> sub_to_parent_; ///< sub id -> slot
     std::uint64_t next_sub_id_ = 1;
+
+    /// Arrival slots (kEvtArrival payloads index it) and the free ones
+    /// as a min-heap: the lowest free slot is always reused first.
+    std::vector<Arrival> arrivals_;
+    std::vector<std::uint32_t> free_arrivals_;
 
     /// run()'s arrival feed: the trace (the caller's own, or feed_copy_
     /// once run() has exited by exception with arrivals still pending),

@@ -3,12 +3,12 @@
  * Flat open-addressed map from a 64-bit key to a small value.
  *
  * Built for tables whose live population is small while the churn is
- * every event or request of a run (the kernel's pending-event tags, the
- * storage controller's in-flight requests): the worst case for
- * node-based containers, which pay one allocation per insert.  Linear
- * probing over one flat array with Robin Hood placement and
- * backward-shift deletion keeps insert, find and erase allocation-free
- * once the table has grown to the live population.
+ * every request of a run (the storage controller's in-flight and
+ * sub-request tables): the worst case for node-based containers, which
+ * pay one allocation per insert.  Linear probing over one flat array
+ * with Robin Hood placement and backward-shift deletion keeps insert,
+ * find and erase allocation-free once the table has grown to the live
+ * population.
  */
 #ifndef HDDTHERM_UTIL_FLAT_MAP_H
 #define HDDTHERM_UTIL_FLAT_MAP_H

@@ -228,39 +228,33 @@ TEST(CoSim, SetAmbientReportsProfilePrecedence)
     free.advanceToCompletion();
 }
 
-TEST(CoSim, SaveSectionsWithoutSnapshotsFailsUpFront)
+TEST(CoSim, SaveSectionsNeedsStartButNoOptIn)
 {
-    // An engine started without snapshots keeps no restorable event
-    // state, so saving it must fail before any section is written.
+    // Every engine is checkpointable: its events are records, so no
+    // opt-in is needed.  Before start() nothing is in flight, and saving
+    // fails before any section is written.
     const auto workload =
         randomWorkload(100, diskSpace(smallSystem(15020.0)), 50.0);
     hd::CoSimConfig cfg;
     cfg.system = smallSystem(15020.0);
 
-    hd::CoSimEngine bare(cfg);
-    bare.start(workload);
-    bare.advanceTo(0.5);
+    hd::CoSimEngine engine(cfg);
     hsnap::CheckpointWriter out(0);
     try {
-        bare.saveSections(out);
-        ADD_FAILURE() << "saveSections succeeded without snapshots";
+        engine.saveSections(out);
+        ADD_FAILURE() << "saveSections succeeded before start";
     } catch (const hu::ModelError& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("CoSimEngine::saveSections needs "
-                            "enableSnapshots()"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("kept no snapshot state"), std::string::npos)
+        EXPECT_NE(what.find("nothing is in flight yet"), std::string::npos)
             << what;
     }
     EXPECT_EQ(out.sectionCount(), 0u);
 
-    hd::CoSimEngine snapshotted(cfg);
-    snapshotted.enableSnapshots();
-    snapshotted.start(workload);
-    snapshotted.advanceTo(0.5);
-    EXPECT_NO_THROW(snapshotted.saveSections(out));
+    engine.start(workload);
+    engine.advanceTo(0.5);
+    EXPECT_NO_THROW(engine.saveSections(out));
     EXPECT_TRUE(out.has("dtm.cosim"));
+    EXPECT_TRUE(out.has("engine.kernel"));
 }
 
 TEST(CoSim, PolicyNames)

@@ -27,7 +27,7 @@ geom26()
 
 TEST(IdleGaps, RecordedOnlyWhenEnabled)
 {
-    hs::EventQueue events;
+    hddtherm::engine::SimKernel events;
     hs::DiskConfig cfg;
     cfg.tech = {400e3, 30e3};
     cfg.recordIdleGaps = false;

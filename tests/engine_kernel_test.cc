@@ -294,6 +294,9 @@ TEST(SimKernel, RunUntilAdvancesClockPastDrainedQueue)
     EXPECT_DOUBLE_EQ(k.now(), 10.0);
 }
 
+/// A test event kind: the handler logs the payload-th name.
+constexpr std::uint32_t kLogKind = 100;
+
 TEST(SimKernel, ReservedSequencesSortWhereTheyWereReserved)
 {
     // Events scheduled later under reserved numbers tie-break as if they
@@ -301,15 +304,19 @@ TEST(SimKernel, ReservedSequencesSortWhereTheyWereReserved)
     // scheduled after the reservation, behind anything before it.
     he::SimKernel k;
     std::vector<std::string> order;
+    const std::vector<std::string> reserved{"reserved+0", "reserved+1"};
+    k.registerHandler(kLogKind, 0, [&](std::uint64_t payload) {
+        order.push_back(reserved[payload]);
+    });
     k.schedule(1.0, [&] { order.push_back("before"); });
     const auto base = k.reserveSequences(2);
     EXPECT_EQ(k.reservedPending(), 2u);
     k.schedule(1.0, [&] { order.push_back("after"); });
-    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base + 1, {},
-                       [&] { order.push_back("reserved+1"); });
+    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base + 1,
+                       kLogKind, 0, 1);
     k.schedule(0.5, [&] {
-        k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base, {},
-                           [&] { order.push_back("reserved+0"); });
+        k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base,
+                           kLogKind, 0, 0);
     });
     k.runAll();
     EXPECT_EQ(k.reservedPending(), 0u);
@@ -320,24 +327,25 @@ TEST(SimKernel, ReservedSequencesSortWhereTheyWereReserved)
 TEST(SimKernel, ScheduleReservedRejectsUnreservedNumbers)
 {
     he::SimKernel k;
+    k.registerHandler(kLogKind, 0, [](std::uint64_t) {});
     EXPECT_THROW(k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, 0,
-                                    {}, [] {}),
+                                    kLogKind, 0, 0),
                  hu::ModelError);
     k.schedule(1.0, [] {});
     EXPECT_THROW(k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, 5,
-                                    {}, [] {}),
+                                    kLogKind, 0, 0),
                  hu::ModelError);
 }
 
 TEST(SimKernel, SaveRefusesWhileReservationsAreUnscheduled)
 {
     he::SimKernel k;
-    k.enableSnapshots(true);
+    k.registerHandler(kLogKind, 0, [](std::uint64_t) {});
     const auto base = k.reserveSequences(1);
     hsnap::StateWriter early("engine.kernel");
     EXPECT_THROW(k.saveState(early), hu::ModelError);
-    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base, {},
-                       [] {});
+    k.scheduleReserved(1.0, he::SimKernel::kDefaultDomain, base, kLogKind,
+                       0, 0);
     hsnap::StateWriter later("engine.kernel");
     EXPECT_NO_THROW(k.saveState(later));
 }

@@ -89,14 +89,14 @@ TEST(QueueDepth, LittlesLawConsistency)
 {
     // L = lambda * W: the time-averaged system population must match the
     // arrival rate times the mean response time.
-    hs::EventQueue events;
+    hddtherm::engine::SimKernel events;
     hs::DiskConfig cfg;
     cfg.tech = {400e3, 30e3};
     hs::SimDisk disk(events, cfg);
     double total_latency = 0.0;
     int done = 0;
     disk.setCompletionHandler(
-        [&](const hs::IoRequest& req, hs::SimTime finish) {
+        [&](const hs::IoRequest& req, hddtherm::engine::SimTime finish) {
             total_latency += finish - req.arrival;
             ++done;
         });

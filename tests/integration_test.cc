@@ -34,7 +34,7 @@ TEST(Integration, SimulatorCapacityMatchesCapacityModel)
         cfg.geometry = drive.geometry();
         cfg.tech = drive.tech();
         cfg.rpm = drive.rpm;
-        hs::EventQueue events;
+        hddtherm::engine::SimKernel events;
         hs::SimDisk disk(events, cfg);
         EXPECT_EQ(disk.totalSectors(), drive.layout().totalUserSectors())
             << drive.model;

@@ -1,9 +1,9 @@
 /**
  * @file
  * The obs layer's core property: metric collection is pure observation.
- * Enabling metrics (and attaching the kernel metrics sink) must leave
- * every simulation result bit-identical — fault-free and faulted, for a
- * single co-simulation and for a multi-threaded fleet run.
+ * Enabling metrics must leave every simulation result bit-identical —
+ * fault-free and faulted, for a single co-simulation and for a
+ * multi-threaded fleet run.
  */
 #include <cstdint>
 #include <vector>
@@ -11,13 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "dtm/cosim.h"
-#include "engine/metrics_sink.h"
 #include "fault/fault_schedule.h"
 #include "fleet/fleet_sim.h"
 #include "obs/metrics.h"
 
 namespace hd = hddtherm::dtm;
-namespace he = hddtherm::engine;
 namespace hfa = hddtherm::fault;
 namespace hf = hddtherm::fleet;
 namespace ho = hddtherm::obs;
@@ -148,18 +146,15 @@ expectIdentical(const hf::FleetResult& a, const hf::FleetResult& b)
     }
 }
 
-/// Run with metrics enabled and the kernel metrics sink attached.
+/// Run with metrics enabled.
 hd::CoSimResult
 observedRun(const hd::CoSimConfig& cfg,
             const std::vector<hs::IoRequest>& workload)
 {
     ho::setEnabled(true);
     hd::CoSimEngine engine(cfg);
-    he::KernelMetricsSink sink;
-    engine.system().events().setTraceSink(&sink);
     engine.start(workload);
     engine.advanceToCompletion();
-    engine.system().events().setTraceSink(nullptr);
     ho::setEnabled(false);
     return engine.result();
 }
@@ -201,17 +196,9 @@ TEST_F(ObsBitIdentityTest, MetricsNeverPerturbFaultFreeCoSim)
     EXPECT_GT(ho::MetricsRegistry::global().size(), registered_before);
     const auto snap = ho::MetricsRegistry::global().snapshot();
     std::uint64_t total = 0;
-    std::uint64_t kernel_fired = 0;
-    for (const auto& c : snap.counters) {
+    for (const auto& c : snap.counters)
         total += c.value;
-        if (c.name.rfind("engine.kernel.", 0) == 0 &&
-            c.name.size() > 6 &&
-            c.name.compare(c.name.size() - 6, 6, ".fired") == 0)
-            kernel_fired += c.value;
-    }
     EXPECT_GT(total, 0u);
-    // The kernel metrics sink saw the run's dispatches.
-    EXPECT_GT(kernel_fired, 0u);
 }
 
 TEST_F(ObsBitIdentityTest, MetricsNeverPerturbFaultedCoSim)

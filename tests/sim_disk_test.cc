@@ -28,7 +28,7 @@ smallDisk(double rpm = 10000.0)
 
 struct Rig
 {
-    hs::EventQueue events;
+    hddtherm::engine::SimKernel events;
     hs::SimDisk disk;
     std::vector<hs::IoCompletion> done;
 
@@ -36,7 +36,7 @@ struct Rig
         : disk(events, cfg)
     {
         disk.setCompletionHandler(
-            [this](const hs::IoRequest& req, hs::SimTime finish) {
+            [this](const hs::IoRequest& req, hddtherm::engine::SimTime finish) {
                 done.push_back({req.id, req.arrival, finish});
             });
     }

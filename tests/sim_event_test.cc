@@ -6,15 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event.h"
+#include "engine/kernel.h"
 #include "util/error.h"
 
-namespace hs = hddtherm::sim;
 namespace hu = hddtherm::util;
 
 TEST(EventQueue, RunsInTimeOrder)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     std::vector<int> order;
     q.schedule(3.0, [&] { order.push_back(3); });
     q.schedule(1.0, [&] { order.push_back(1); });
@@ -26,7 +25,7 @@ TEST(EventQueue, RunsInTimeOrder)
 
 TEST(EventQueue, SimultaneousEventsKeepInsertionOrder)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
         q.schedule(1.0, [&order, i] { order.push_back(i); });
@@ -36,7 +35,7 @@ TEST(EventQueue, SimultaneousEventsKeepInsertionOrder)
 
 TEST(EventQueue, CallbackMaySchedule)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     int fired = 0;
     q.schedule(1.0, [&] {
         ++fired;
@@ -49,7 +48,7 @@ TEST(EventQueue, CallbackMaySchedule)
 
 TEST(EventQueue, RunUntilStopsAtLimit)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     int fired = 0;
     q.schedule(1.0, [&] { ++fired; });
     q.schedule(5.0, [&] { ++fired; });
@@ -63,7 +62,7 @@ TEST(EventQueue, RunUntilStopsAtLimit)
 
 TEST(EventQueue, ScheduleAfterUsesNow)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     double fired_at = -1.0;
     q.schedule(2.0, [&] {
         q.scheduleAfter(3.0, [&] { fired_at = q.now(); });
@@ -74,7 +73,7 @@ TEST(EventQueue, ScheduleAfterUsesNow)
 
 TEST(EventQueue, RejectsPastScheduling)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     q.schedule(5.0, [] {});
     q.runAll();
     EXPECT_THROW(q.schedule(1.0, [] {}), hu::ModelError);
@@ -83,7 +82,7 @@ TEST(EventQueue, RejectsPastScheduling)
 
 TEST(EventQueue, RunNextOnEmptyReturnsFalse)
 {
-    hs::EventQueue q;
+    hddtherm::engine::SimKernel q;
     EXPECT_FALSE(q.runNext());
     EXPECT_TRUE(q.empty());
 }

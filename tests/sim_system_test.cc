@@ -495,10 +495,10 @@ TEST(StorageSystemFeed, ArrivalsPendingAfterAThrowOutliveTheTrace)
 TEST(StorageSystemFeed, CheckpointDuringActiveFeedIsRefused)
 {
     hs::StorageSystem sys(arrayConfig(2, hs::RaidLevel::None));
-    sys.events().enableSnapshots(true);
-    const auto domain = hs::storageDomain(sys.events());
+    const auto domain = sys.events().registerDomain("storage");
+    constexpr std::uint32_t kCheckpointTask = 100;
     int attempts = 0;
-    sys.events().schedulePeriodic(domain, 0.1, "checkpoint", [&] {
+    sys.events().registerTask(kCheckpointTask, [&] {
         ++attempts;
         EXPECT_TRUE(sys.feeding());
         hsnap::StateWriter system_state("sim.system");
@@ -507,6 +507,7 @@ TEST(StorageSystemFeed, CheckpointDuringActiveFeedIsRefused)
         sys.events().saveState(kernel_state); // throws: the feed is live
         return true;
     });
+    sys.events().schedulePeriodic(domain, 0.1, kCheckpointTask);
     std::vector<hs::IoRequest> load;
     for (std::uint64_t i = 0; i < 100; ++i)
         load.push_back(make(i + 1, double(i) * 0.01,
@@ -520,7 +521,6 @@ TEST(StorageSystemFeed, CheckpointAfterFeedDrainsSucceeds)
     // Once run() has scheduled its last arrival the kernel holds every
     // pending event, so checkpoints are legal again.
     hs::StorageSystem sys(arrayConfig(2, hs::RaidLevel::None));
-    sys.events().enableSnapshots(true);
     sys.run({make(1, 0.0, 0, 8), make(2, 0.002, 64, 8, hs::IoType::Write,
                                       1)});
     hsnap::StateWriter kernel_state("engine.kernel");
@@ -540,7 +540,6 @@ TEST(StorageSystemFeed, Raid5MidRunCheckpointRoundTrips)
         const auto cfg = arrayConfig(4, hs::RaidLevel::Raid5);
         const auto build = [&] {
             auto sys = std::make_unique<hs::StorageSystem>(cfg);
-            sys->events().enableSnapshots(true);
             if (failed >= 0)
                 sys->failDisk(failed);
             return sys;
@@ -566,12 +565,7 @@ TEST(StorageSystemFeed, Raid5MidRunCheckpointRoundTrips)
         hsnap::StateReader kernel_reader("engine.kernel",
                                          kernel_bytes.data(),
                                          kernel_bytes.size());
-        resumed->events().loadState(
-            kernel_reader,
-            [&](const hsnap::EventTag& tag) {
-                return resumed->restoreEvent(tag);
-            },
-            nullptr);
+        resumed->events().loadState(kernel_reader);
 
         hsnap::StateWriter again("sim.system");
         resumed->saveState(again);

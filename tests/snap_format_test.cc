@@ -4,7 +4,7 @@
  * stream round-trips, strict decode failures, corruption detection
  * (bit-flips, truncation, bad magic, unsupported versions), forward
  * compatibility with unknown sections, CheckpointManager retention and
- * flush semantics, and the kernel's flat event-tag map.
+ * flush semantics, and the flat map behind the storage tables.
  */
 #include <algorithm>
 #include <cstdint>
@@ -16,15 +16,14 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/tag_map.h"
 #include "obs/manifest.h"
 #include "snap/checkpoint.h"
 #include "snap/format.h"
 #include "snap/state.h"
 #include "util/error.h"
+#include "util/flat_map.h"
 
 namespace fs = std::filesystem;
-namespace he = hddtherm::engine;
 namespace ho = hddtherm::obs;
 namespace hsnap = hddtherm::snap;
 namespace hu = hddtherm::util;
@@ -390,23 +389,27 @@ TEST(WriteCheckpointBytes, LeavesNoTempFileOnSuccess)
     fs::remove_all(dir);
 }
 
-TEST(EventTagMap, InsertFindEraseUnderChurn)
+/// A multi-word value, as the storage controller's tables hold.
+struct MapEntry
 {
-    he::EventTagMap map;
+    std::uint32_t kind = 0;
+    std::uint64_t word = 0;
+};
+
+TEST(FlatU64Map, InsertFindEraseUnderChurn)
+{
+    hu::FlatU64Map<MapEntry> map;
     EXPECT_EQ(map.find(1), nullptr);
     EXPECT_FALSE(map.erase(1));
 
-    // Mimic the kernel's pattern: a bounded live set, endless churn.
+    // The storage path's pattern: a bounded live set, endless churn.
     std::uint64_t next_seq = 0;
     std::vector<std::uint64_t> live;
     std::mt19937_64 rng(0x5eedull);
     for (int round = 0; round < 20000; ++round) {
         if (live.size() < 200 || (rng() & 1)) {
             const std::uint64_t seq = next_seq++;
-            hddtherm::snap::EventTag tag;
-            tag.kind = std::uint32_t(seq % 7 + 1);
-            tag.w[0] = seq * 3;
-            map.insert(seq, tag);
+            map.insert(seq, {std::uint32_t(seq % 7 + 1), seq * 3});
             live.push_back(seq);
         } else {
             const std::size_t pick = std::size_t(rng() % live.size());
@@ -419,10 +422,10 @@ TEST(EventTagMap, InsertFindEraseUnderChurn)
     }
     EXPECT_EQ(map.size(), live.size());
     for (const auto seq : live) {
-        const auto* tag = map.find(seq);
-        ASSERT_NE(tag, nullptr) << "seq " << seq;
-        EXPECT_EQ(tag->kind, std::uint32_t(seq % 7 + 1));
-        EXPECT_EQ(tag->w[0], seq * 3);
+        const auto* entry = map.find(seq);
+        ASSERT_NE(entry, nullptr) << "seq " << seq;
+        EXPECT_EQ(entry->kind, std::uint32_t(seq % 7 + 1));
+        EXPECT_EQ(entry->word, seq * 3);
     }
     map.clear();
     EXPECT_EQ(map.size(), 0u);
@@ -430,25 +433,22 @@ TEST(EventTagMap, InsertFindEraseUnderChurn)
         EXPECT_EQ(map.find(seq), nullptr);
 }
 
-TEST(EventTagMap, BackwardShiftKeepsClustersProbeable)
+TEST(FlatU64Map, BackwardShiftKeepsClustersProbeable)
 {
     // Dense monotone keys land in long probe clusters under any hash;
     // deleting from the middle must keep every survivor findable.
-    he::EventTagMap map;
-    for (std::uint64_t seq = 0; seq < 512; ++seq) {
-        hddtherm::snap::EventTag tag;
-        tag.aux = std::uint32_t(seq);
-        map.insert(seq, tag);
-    }
+    hu::FlatU64Map<MapEntry> map;
+    for (std::uint64_t seq = 0; seq < 512; ++seq)
+        map.insert(seq, {std::uint32_t(seq), 0});
     for (std::uint64_t seq = 0; seq < 512; seq += 3)
         EXPECT_TRUE(map.erase(seq));
     for (std::uint64_t seq = 0; seq < 512; ++seq) {
-        const auto* tag = map.find(seq);
+        const auto* entry = map.find(seq);
         if (seq % 3 == 0) {
-            EXPECT_EQ(tag, nullptr) << "seq " << seq;
+            EXPECT_EQ(entry, nullptr) << "seq " << seq;
         } else {
-            ASSERT_NE(tag, nullptr) << "seq " << seq;
-            EXPECT_EQ(tag->aux, std::uint32_t(seq));
+            ASSERT_NE(entry, nullptr) << "seq " << seq;
+            EXPECT_EQ(entry->kind, std::uint32_t(seq));
         }
     }
 }
